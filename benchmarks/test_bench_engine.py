@@ -1,19 +1,16 @@
-"""Benchmark: the discrete-event kernel's two completion strategies, the
-process-parallel sweep runner, and the columnar flow-state engine's
-scaling curve.
+"""Benchmark: the simulator's scheduled completions, the process-parallel
+sweep runner, and the flow store's rate-recompute scaling curve.
 
 Four measurements land in one JSON artifact (``BENCH_engine.json``):
 
 * **dispatch micro-benchmark** — a real :class:`~repro.simulator.Simulation`
   is loaded with ≥10k active flows and the cost of ``K`` dispatches is
-  measured for both strategies: scan mode calls ``_next_completion()`` (an
-  O(active-flows) ETA scan) once per dispatch, event mode arms one kernel
-  completion event per rate epoch and pays a heap peek per dispatch.  This
-  isolates exactly the code path ``completion_mode`` switches.
-* **end-to-end equality run** — the same moderate workload runs to
-  completion under both modes; FCTs must be byte-identical (the ulp
-  contract ``tests/engine/test_event_mode.py`` pins) and both wall times
-  are recorded.
+  measured two ways: rescanning every flow's ETA per dispatch
+  (``FlowStore.next_completion``, a vectorized O(active-flows) argmin)
+  against the simulator's strategy of arming one kernel completion event
+  per rate epoch and paying a heap peek per dispatch.
+* **end-to-end run** — a moderate arrival/completion workload runs to
+  completion; every flow must finish and the wall time is recorded.
 * **sweep speedup** — the sensitivity sweep runs serially and in parallel
   (workers capped at the detected core count).  Sweep cells ship to
   workers in chunks (see :class:`~repro.engine.sweep.SweepRunner`) so
@@ -24,21 +21,16 @@ Four measurements land in one JSON artifact (``BENCH_engine.json``):
   up, and asserting there only records lies (an earlier artifact pinned a
   0.91× "speedup" from exactly that).  The artifact always records the
   honest timings and ``os.cpu_count()``.
-* **flow-state scaling curve** — the ``flow_state="columnar"`` backend
-  (:class:`~repro.simulator.flowstate.FlowStore`) against the object/dict
-  reference, 1k → 1M flows.  Two probes per size: the rate-recompute
-  microbenchmark times ``_recompute_rates()`` on a loaded simulation
-  (the O(links × flows) progressive filling both backends implement),
-  and a full event-mode run with batched same-instant arrivals and a
-  ``max_time`` cut proves the size actually *runs* end to end.  The
-  object backend is measured up to ``BENCH_ENGINE_SCALE_OBJECTS_CAP``
-  flows and linearly projected beyond (1M ``_ActiveFlow`` + ``dict``
-  fillings would take minutes and say nothing new); full object-backend
-  runs stop at 1k flows because without the columnar backend's
-  same-instant recompute batching an N-flow burst costs N fillings —
-  quadratic admission work the curve exists to retire.  At 100k flows
-  the columnar recompute must be ≥10× faster, and the largest size must
-  complete a run with every flow concurrently active.
+* **flow-state scaling curve** — :meth:`~repro.simulator.flowstate.
+  FlowStore.recompute` against the dict fill
+  (:func:`~repro.simulator.fairshare.max_min_fair_rates`) over the same
+  paths, 1k → 1M flows, plus a full run with batched same-instant
+  arrivals and a ``max_time`` cut that proves each size actually *runs*
+  end to end.  The dict fill is measured up to
+  ``BENCH_ENGINE_SCALE_DICT_CAP`` flows and linearly projected beyond (a
+  1M-flow dict fill would take minutes and say nothing new).  At 100k
+  flows the store's recompute must be ≥10× faster, and the largest size
+  must complete a run with every flow concurrently active.
 
 Environment knobs:
     ``BENCH_ENGINE_FLOWS``            active flows in the dispatch
@@ -51,10 +43,9 @@ Environment knobs:
     ``BENCH_ENGINE_SCALE_MAX``        largest flow count on the scaling
                                       curve (default 1000000; CI's scale
                                       job caps it at 100000).
-    ``BENCH_ENGINE_SCALE_OBJECTS_CAP``  largest flow count at which the
-                                      object backend's recompute is
-                                      measured rather than projected
-                                      (default 100000).
+    ``BENCH_ENGINE_SCALE_DICT_CAP``   largest flow count at which the
+                                      dict fill is measured rather than
+                                      projected (default 100000).
     ``BENCH_ENGINE_OUT``              artifact path (default
                                       ``results/BENCH_engine.json``).
 """
@@ -68,11 +59,16 @@ import numpy as np
 from repro.baselines import make_installer
 from repro.experiments.sensitivity import SensitivityConfig
 from repro.experiments.sensitivity import run as run_sensitivity
-from repro.simulator import Simulation, SimulationConfig, TeAppConfig
-from repro.simulator.simulation import _ActiveFlow
+from repro.simulator import (
+    Simulation,
+    SimulationConfig,
+    TeAppConfig,
+    max_min_fair_rates,
+)
 from repro.tcam import get_switch_model
 from repro.obs.perf.bench import write_bench_artifact
 from repro.topology import FatTreeSpec, build_fat_tree, hosts
+from repro.topology.routing import path_links_cached
 from repro.traffic.flows import FlowSpec
 
 
@@ -97,44 +93,45 @@ def _synthetic_flows(count, seed=11, size=5e6):
     return graph, flows
 
 
-def _loaded_simulation(flow_count):
-    """A real Simulation whose active set holds ``flow_count`` flows.
+def _naive_factory():
+    timing = get_switch_model("pica8-p3290")
+    return lambda name: make_installer("naive", timing)
+
+
+def _loaded_simulation(graph, flows, config):
+    """A Simulation whose flow store holds every flow on its first ECMP path.
 
     The flows are injected directly (their arrivals never dispatch), so
-    the measurement below isolates the per-dispatch completion-selection
-    cost from arrival/rate-recompute physics.
+    the measurements below isolate completion selection and rate
+    recomputes from arrival physics.
     """
-    graph, flows = _synthetic_flows(flow_count)
-    timing = get_switch_model("pica8-p3290")
-    factory = lambda name: make_installer("naive", timing)
-    simulation = Simulation(
-        graph,
-        flows[:1],
-        factory,
-        SimulationConfig(te=TeAppConfig(epoch=1e6), baseline_occupancy=0),
-    )
-    for index, spec in enumerate(flows):
-        simulation._active[spec.flow_id] = _ActiveFlow(
-            spec=spec,
-            remaining_bytes=spec.size,
-            path=(spec.source, spec.destination),
-            rate=1e6 + (index % 97) * 1e3,
-        )
+    simulation = Simulation(graph, flows[:1], _naive_factory(), config)
+    for spec in flows:
+        path = simulation.provider.ecmp_paths(spec.source, spec.destination)[0]
+        simulation._store.add(spec, path)
     return simulation
 
 
 def dispatch_microbench(flow_count, dispatches):
-    """Per-dispatch completion-selection cost, scan vs event strategy.
+    """Per-dispatch completion-selection cost, ETA rescan vs armed event.
 
-    Scan mode's loop calls ``_next_completion()`` every iteration — K
-    dispatches cost K full ETA scans over the active set.  Event mode arms
+    A rescan strategy pays ``FlowStore.next_completion`` — an argmin over
+    every active flow's ETA — on each of K dispatches.  The simulator arms
     the argmin once per rate epoch and pays one heap peek per dispatch.
     """
-    simulation = _loaded_simulation(flow_count)
+    graph, flows = _synthetic_flows(flow_count)
+    simulation = _loaded_simulation(
+        graph,
+        flows,
+        SimulationConfig(te=TeAppConfig(epoch=1e6), baseline_occupancy=0),
+    )
+    store = simulation._store
+    rows = store.active_rows()
+    store.rate[rows] = 1e6 + (np.arange(rows.size) % 97) * 1e3
 
     start = time.perf_counter()
     for _ in range(dispatches):
-        scan_pick = simulation._next_completion()
+        scan_pick = store.next_completion(simulation.now)
     scan_seconds = time.perf_counter() - start
 
     simulation._schedule_completion()  # one arm per rate epoch
@@ -157,41 +154,19 @@ def dispatch_microbench(flow_count, dispatches):
     }
 
 
-def end_to_end_comparison(flow_count=300):
-    timings = {}
-    fcts = {}
-    for mode in ("scan", "event"):
-        graph, flows = _synthetic_flows(flow_count, size=1e6)
-        timing = get_switch_model("pica8-p3290")
-        factory = lambda name: make_installer("naive", timing)
-        config = SimulationConfig(
-            te=TeAppConfig(epoch=1e6),
-            baseline_occupancy=0,
-            completion_mode=mode,
-        )
-        simulation = Simulation(graph, flows, factory, config)
-        start = time.perf_counter()
-        metrics = simulation.run()
-        timings[mode] = time.perf_counter() - start
-        fcts[mode] = metrics.fcts()
-    assert len(fcts["event"]) == len(fcts["scan"]) == flow_count
-    assert fcts["event"] == fcts["scan"], (
-        "event mode must stay byte-identical to scan on pure "
-        "arrival/completion workloads"
-    )
-    return {
-        "flows": flow_count,
-        "scan_seconds": timings["scan"],
-        "event_seconds": timings["event"],
-    }
+def end_to_end_run(flow_count=300):
+    graph, flows = _synthetic_flows(flow_count, size=1e6)
+    config = SimulationConfig(te=TeAppConfig(epoch=1e6), baseline_occupancy=0)
+    simulation = Simulation(graph, flows, _naive_factory(), config)
+    start = time.perf_counter()
+    metrics = simulation.run()
+    seconds = time.perf_counter() - start
+    assert len(metrics.fcts()) == flow_count
+    return {"flows": flow_count, "event_seconds": seconds}
 
 
 SCALE_SIZES = (1_000, 10_000, 100_000, 1_000_000)
 SCALE_INSTANTS = 10
-# Full object-backend runs stop here: every burst arrival pays a whole
-# progressive filling (no same-instant batching), so run time grows
-# quadratically in the flow count.
-SCALE_OBJECTS_RUN_CAP = 1_000
 
 
 def _scaling_flows(count, instants=SCALE_INSTANTS, seed=23):
@@ -222,115 +197,82 @@ def _scaling_flows(count, instants=SCALE_INSTANTS, seed=23):
     return graph, flows
 
 
-def _scale_config(flow_state, completion_mode="scan"):
+def _scale_config():
     return SimulationConfig(
-        te=TeAppConfig(epoch=1e6),
-        baseline_occupancy=0,
-        flow_state=flow_state,
-        completion_mode=completion_mode,
-        max_time=0.5,
+        te=TeAppConfig(epoch=1e6), baseline_occupancy=0, max_time=0.5
     )
 
 
-def _loaded_backend(graph, flows, flow_state):
-    """A Simulation with every flow active on its real provider path.
-
-    Flows are injected directly (as in :func:`_loaded_simulation`) so the
-    recompute timing below isolates the progressive filling from
-    arrival dispatch."""
-    timing = get_switch_model("pica8-p3290")
-    factory = lambda name: make_installer("naive", timing)
-    simulation = Simulation(graph, flows[:1], factory, _scale_config(flow_state))
-    for spec in flows:
-        path = simulation.provider.ecmp_paths(spec.source, spec.destination)[0]
-        if simulation._store is not None:
-            simulation._store.add(spec, path)
-        else:
-            simulation._active[spec.flow_id] = _ActiveFlow(
-                spec=spec, remaining_bytes=spec.size, path=path
-            )
-    return simulation
-
-
-def _time_recompute(simulation, repeats):
+def _best_of(repeats, fn):
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        simulation._recompute_rates()
+        fn()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def _timed_run(graph, flows, flow_state):
-    timing = get_switch_model("pica8-p3290")
-    factory = lambda name: make_installer("naive", timing)
-    simulation = Simulation(
-        graph, flows, factory, _scale_config(flow_state, completion_mode="event")
-    )
+def _timed_run(graph, flows):
+    simulation = Simulation(graph, flows, _naive_factory(), _scale_config())
     start = time.perf_counter()
     metrics = simulation.run()
     seconds = time.perf_counter() - start
     return seconds, metrics.peak_active
 
 
-def flow_state_scaling(scale_max, objects_cap):
-    """The 1k → 1M curve: columnar vs object flow state at each size."""
+def flow_state_scaling(scale_max, dict_cap):
+    """The 1k → 1M curve: store recompute vs dict fill at each size."""
     sizes = [size for size in SCALE_SIZES if size <= scale_max]
     if not sizes:
         sizes = [min(SCALE_SIZES)]
     recompute_rows = []
     run_rows = []
-    objects_anchor = None  # (flows, measured seconds) for projection
+    dict_anchor = None  # (flows, measured seconds) for projection
     for size in sizes:
         graph, flows = _scaling_flows(size)
         # Best-of-N timings: the speedup gate compares two measurements,
         # so noise on either side must not fake a regression.
         repeats = 3 if size <= 100_000 else 2
 
-        columnar = _loaded_backend(graph, flows, "columnar")
-        columnar_seconds = _time_recompute(columnar, repeats)
-        del columnar
-
+        simulation = _loaded_simulation(graph, flows, _scale_config())
+        store = simulation._store
+        store_seconds = _best_of(repeats, store.recompute)
         row = {
             "flows": size,
-            "columnar_recompute_seconds": columnar_seconds,
-            "objects_recompute_seconds": None,
-            "objects_projected": False,
+            "store_recompute_seconds": store_seconds,
+            "dict_fill_seconds": None,
+            "dict_projected": False,
             "speedup": None,
         }
-        if size <= objects_cap:
-            objects = _loaded_backend(graph, flows, "objects")
-            row["objects_recompute_seconds"] = _time_recompute(objects, repeats)
-            objects_anchor = (size, row["objects_recompute_seconds"])
-            del objects
-        elif objects_anchor is not None:
-            anchor_flows, anchor_seconds = objects_anchor
-            row["objects_recompute_seconds"] = anchor_seconds * size / anchor_flows
-            row["objects_projected"] = True
-        if row["objects_recompute_seconds"]:
-            row["speedup"] = row["objects_recompute_seconds"] / max(
-                columnar_seconds, 1e-9
+        if size <= dict_cap:
+            paths = {
+                spec.flow_id: path_links_cached(store.path(spec.flow_id))
+                for spec in flows
+            }
+            capacities = simulation._capacities
+            row["dict_fill_seconds"] = _best_of(
+                repeats, lambda: max_min_fair_rates(paths, capacities)
             )
+            dict_anchor = (size, row["dict_fill_seconds"])
+            del paths
+        elif dict_anchor is not None:
+            anchor_flows, anchor_seconds = dict_anchor
+            row["dict_fill_seconds"] = anchor_seconds * size / anchor_flows
+            row["dict_projected"] = True
+        del simulation, store
+        if row["dict_fill_seconds"]:
+            row["speedup"] = row["dict_fill_seconds"] / max(store_seconds, 1e-9)
         recompute_rows.append(row)
 
-        run_seconds, peak = _timed_run(graph, flows, "columnar")
+        run_seconds, peak = _timed_run(graph, flows)
         assert peak == size, (
-            f"columnar run at {size} flows peaked at {peak} concurrent flows"
+            f"run at {size} flows peaked at {peak} concurrent flows"
         )
-        run_rows.append(
-            {"flows": size, "backend": "columnar", "seconds": run_seconds}
-        )
-        if size <= SCALE_OBJECTS_RUN_CAP:
-            run_seconds, peak = _timed_run(graph, flows, "objects")
-            assert peak == size
-            run_rows.append(
-                {"flows": size, "backend": "objects", "seconds": run_seconds}
-            )
+        run_rows.append({"flows": size, "seconds": run_seconds})
     return {
         "sizes": sizes,
         "instants": SCALE_INSTANTS,
-        "objects_measure_cap": objects_cap,
-        "objects_run_cap": SCALE_OBJECTS_RUN_CAP,
+        "dict_measure_cap": dict_cap,
         "recompute": recompute_rows,
         "runs": run_rows,
     }
@@ -365,25 +307,19 @@ def run_bench():
         max(cpu_count, 1),
     )
     scale_max = int(os.environ.get("BENCH_ENGINE_SCALE_MAX", "1000000"))
-    objects_cap = int(
-        os.environ.get("BENCH_ENGINE_SCALE_OBJECTS_CAP", "100000")
-    )
+    dict_cap = int(os.environ.get("BENCH_ENGINE_SCALE_DICT_CAP", "100000"))
     return {
         "cpu_count": cpu_count,
         "dispatch": dispatch_microbench(flow_count, dispatches),
-        "end_to_end": end_to_end_comparison(),
+        "end_to_end": end_to_end_run(),
         "sweep": sweep_speedup(max(workers, 1)),
-        "flow_scaling": flow_state_scaling(scale_max, objects_cap),
+        "flow_scaling": flow_state_scaling(scale_max, dict_cap),
     }
 
 
 def test_bench_engine(benchmark):
     payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
-    columnar_runs = [
-        row
-        for row in payload["flow_scaling"]["runs"]
-        if row["backend"] == "columnar"
-    ]
+    scaling = payload["flow_scaling"]
     write_bench_artifact(
         "engine",
         headline={
@@ -391,13 +327,13 @@ def test_bench_engine(benchmark):
             "dispatch_event_seconds": payload["dispatch"]["event_seconds"],
             "end_to_end_event_seconds": payload["end_to_end"]["event_seconds"],
             "sweep_speedup": payload["sweep"]["speedup"],
-            "flow_scaling_max_flows": payload["flow_scaling"]["sizes"][-1],
+            "flow_scaling_max_flows": scaling["sizes"][-1],
             "flow_scaling_recompute_speedup": max(
                 row["speedup"] or 0.0
-                for row in payload["flow_scaling"]["recompute"]
-                if not row["objects_projected"]
+                for row in scaling["recompute"]
+                if not row["dict_projected"]
             ),
-            "flow_scaling_columnar_run_seconds": columnar_runs[-1]["seconds"],
+            "flow_scaling_columnar_run_seconds": scaling["runs"][-1]["seconds"],
         },
         payload=payload,
         out=os.environ.get("BENCH_ENGINE_OUT"),
@@ -408,14 +344,13 @@ def test_bench_engine(benchmark):
     print()
     print(
         f"dispatch ({dispatch['flows']} flows x {dispatch['dispatches']}): "
-        f"scan={dispatch['scan_seconds']:.3f}s "
-        f"event={dispatch['event_seconds']:.3f}s "
+        f"rescan={dispatch['scan_seconds']:.3f}s "
+        f"armed={dispatch['event_seconds']:.3f}s "
         f"({dispatch['speedup']:.0f}x)"
     )
     print(
         f"end-to-end ({payload['end_to_end']['flows']} flows): "
-        f"scan={payload['end_to_end']['scan_seconds']:.2f}s "
-        f"event={payload['end_to_end']['event_seconds']:.2f}s"
+        f"{payload['end_to_end']['event_seconds']:.2f}s"
     )
     print(
         f"sweep ({sweep['cells']} cells, {sweep['workers']} workers, "
@@ -424,44 +359,39 @@ def test_bench_engine(benchmark):
         f"({sweep['speedup']:.2f}x)"
     )
 
-    scaling = payload["flow_scaling"]
     for row in scaling["recompute"]:
-        objects_note = "-"
-        if row["objects_recompute_seconds"] is not None:
-            suffix = " (projected)" if row["objects_projected"] else ""
-            objects_note = (
-                f"{row['objects_recompute_seconds']:.4f}s{suffix} "
+        dict_note = "-"
+        if row["dict_fill_seconds"] is not None:
+            suffix = " (projected)" if row["dict_projected"] else ""
+            dict_note = (
+                f"{row['dict_fill_seconds']:.4f}s{suffix} "
                 f"({row['speedup']:.1f}x)"
             )
         print(
             f"recompute @ {row['flows']:>7} flows: "
-            f"columnar={row['columnar_recompute_seconds']:.4f}s "
-            f"objects={objects_note}"
+            f"store={row['store_recompute_seconds']:.4f}s dict={dict_note}"
         )
     for row in scaling["runs"]:
-        print(
-            f"run @ {row['flows']:>7} flows [{row['backend']}]: "
-            f"{row['seconds']:.2f}s"
-        )
+        print(f"run @ {row['flows']:>7} flows: {row['seconds']:.2f}s")
 
-    # The headline: scheduled completions beat the per-dispatch ETA scan by
-    # orders of magnitude once the active set is large.
+    # The headline: scheduled completions beat a per-dispatch ETA rescan
+    # by orders of magnitude once the active set is large.
     assert dispatch["flows"] >= 10_000
     assert dispatch["speedup"] >= 10, dispatch
 
-    # The columnar contract: ≥10× faster rate recompute at 100k flows
-    # (measured head-to-head, not projected) and a completed run at the
-    # curve's largest size with every flow concurrently active (the
-    # per-size assert in flow_state_scaling already checked the peaks).
+    # The flow-store contract: ≥10× faster rate recompute than the dict
+    # fill at 100k flows (measured head-to-head, not projected) and a
+    # completed run at the curve's largest size with every flow
+    # concurrently active (the per-size assert in flow_state_scaling
+    # already checked the peaks).
     measured = {
         row["flows"]: row
         for row in scaling["recompute"]
-        if row["objects_recompute_seconds"] is not None
-        and not row["objects_projected"]
+        if row["dict_fill_seconds"] is not None and not row["dict_projected"]
     }
     if 100_000 in measured:
         assert measured[100_000]["speedup"] >= 10, measured[100_000]
-    assert columnar_runs[-1]["flows"] == scaling["sizes"][-1]
+    assert scaling["runs"][-1]["flows"] == scaling["sizes"][-1]
 
     if payload["cpu_count"] < 2:
         # A 1-core runner cannot parallelize; the artifact records the

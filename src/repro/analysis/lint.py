@@ -74,6 +74,13 @@ are reported but never rewritten.
     :class:`~repro.engine.SerialResource` so every layer shares one
     timeline.  Files under ``repro/engine/`` are exempt: they *are* the
     kernel.
+``builtin-hash``
+    A call to the builtin ``hash()`` outside a ``__hash__`` method.
+    ``str``/``bytes`` hashes are salted per process (``PYTHONHASHSEED``),
+    so a value derived from one (a port, a bucket, a shard) differs
+    between two runs of the same scenario.  Use a stable digest such as
+    ``zlib.crc32`` instead; inside ``__hash__`` the value never leaves
+    the process, so it is exempt.
 ``bare-pragma``
     A suppression pragma with no justification (see below).
 
@@ -106,6 +113,7 @@ UNORDERED_ITERATION = "unordered-iteration"
 FLOAT_EQ = "float-eq"
 TRACER_WALL_CLOCK = "tracer-wall-clock"
 ADHOC_EVENT_LOOP = "adhoc-event-loop"
+BUILTIN_HASH = "builtin-hash"
 BARE_PRAGMA = "bare-pragma"
 
 ALL_RULES = (
@@ -116,6 +124,7 @@ ALL_RULES = (
     FLOAT_EQ,
     TRACER_WALL_CLOCK,
     ADHOC_EVENT_LOOP,
+    BUILTIN_HASH,
     BARE_PRAGMA,
 )
 
@@ -317,6 +326,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         # annotated Dict[..., Set[...]] whose subscripts are sets.
         self._set_vars: Set[str] = set()
         self._dict_of_set_vars: Set[str] = set()
+        self._functions: List[str] = []  # enclosing function names
         # The kernel is the one place allowed to own a heap and mutate
         # simulated time; everything else must go through it.
         normalized = path.replace(os.sep, "/")
@@ -395,6 +405,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         annotations seed it, and local bindings don't leak out."""
         saved_sets = set(self._set_vars)
         saved_dicts = set(self._dict_of_set_vars)
+        self._functions.append(node.name)
         args = node.args
         for arg in (
             list(args.posonlyargs)
@@ -405,6 +416,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
             if arg is not None and arg.annotation is not None:
                 self._bind_annotated(arg.arg, arg.annotation)
         self.generic_visit(node)
+        self._functions.pop()
         self._set_vars = saved_sets
         self._dict_of_set_vars = saved_dicts
 
@@ -484,7 +496,20 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self._check_tracer_args(node)
         self._check_set_sink(node)
         self._check_heapq_call(node)
+        self._check_builtin_hash(node)
         self.generic_visit(node)
+
+    def _check_builtin_hash(self, node: ast.Call) -> None:
+        if not (isinstance(node.func, ast.Name) and node.func.id == "hash"):
+            return
+        if self._functions and self._functions[-1] == "__hash__":
+            return
+        self._flag(
+            node,
+            BUILTIN_HASH,
+            "builtin hash() is salted per process (PYTHONHASHSEED) for "
+            "str/bytes; derive stable values with zlib.crc32 or hashlib",
+        )
 
     def _check_heapq_call(self, node: ast.Call) -> None:
         if self._in_engine:

@@ -1,46 +1,33 @@
-"""Columnar flow state: array-backed per-flow bookkeeping for million-flow runs.
-
-The object path keeps one ``_ActiveFlow`` Python object per flow and a
-dict-of-sets progressive filling in :func:`~repro.simulator.fairshare.
-max_min_fair_rates`; per-flow Python overhead is the simulator's scaling
-ceiling after the unified kernel.  This module replaces that data model
-with columns:
+"""Columnar flow state: the simulator's per-flow bookkeeping.
 
 * :class:`FlowStore` holds remaining-bytes / rate / flag / blackhole
   columns as numpy arrays, plus a flat link×flow incidence structure
   (per-row segments of dense link ids — a CSR whose ``indptr`` is the
   ``(_seg_start, _seg_len)`` pair) rebuilt incrementally on path churn
   and compacted when completed rows dominate.
-* :func:`columnar_max_min_fair_rates` / :meth:`FlowStore.recompute` run
-  progressive filling as array operations — gather the active incidence,
-  rank links by first encounter, then repeatedly freeze the bottleneck
-  link's flows with ``np.subtract.at``.
+* :meth:`FlowStore.recompute` fills rates with the dict progressive
+  filling of :func:`~repro.simulator.fairshare.max_min_fair_rates` on
+  small active sets and, from :data:`DICT_FILL_MAX_PAIRS` pairs up, with
+  :func:`_progressive_fill` — gather the active incidence, rank links by
+  first encounter, then repeatedly freeze the bottleneck link's flows
+  with ``np.subtract.at``.  :func:`columnar_max_min_fair_rates` exposes
+  the vectorized fill with the dict fill's signature.
 
-**Exactness contract.**  The columnar backend is *bit-identical* to the
-dict backend, not merely close: capacities enter as the same doubles,
+**Exactness contract.**  The vectorized fill is *bit-identical* to the
+dict fill, not merely close: capacities enter as the same doubles,
 per-iteration shares are the same ``remaining / count`` divisions,
 bottleneck ties break toward the first-encountered link exactly as the
 dict's insertion-ordered strict ``<`` scan does, and every frozen flow
 subtracts the *same* bottleneck share — so the accumulation order of the
 subtractions (``np.subtract.at`` applies them sequentially) cannot
 change any float.  ``tests/simulator/test_flowstate.py`` pins the
-equality property-by-property; the object path stays the parity
-reference (the same discipline as ``completion_mode``).
+equality with a hypothesis differential.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +38,17 @@ from .fairshare import Link, UNCONSTRAINED_RATE, max_min_fair_rates
 FLAG_ACTIVE = np.uint8(0x1)
 FLAG_HAS_RULES = np.uint8(0x2)
 FLAG_PENDING = np.uint8(0x4)
+
+#: :meth:`FlowStore.recompute` runs the dict fill
+#: (:func:`~repro.simulator.fairshare.max_min_fair_rates`) below this many
+#: active flow×link pairs and the vectorized :func:`_progressive_fill` at
+#: or above it.  numpy's fixed per-call cost loses on small active sets:
+#: on k=4 and k=8 fat trees and on Geant the vectorized fill overtakes
+#: between about 850 and 1150 pairs, while at Geant's typical ~300 pairs
+#: it is about 1.9x slower per call (docs/architecture.md has the table).
+#: Both fills give bit-identical rates, so the threshold moves only wall
+#: time.
+DICT_FILL_MAX_PAIRS = 1024
 
 
 def _progressive_fill(
@@ -180,56 +178,15 @@ def columnar_max_min_fair_rates(
     return rates
 
 
-class FlowColumnView(Mapping):
-    """Lazy ``flow_id -> value`` mapping over one :class:`FlowStore` column.
-
-    Iteration follows row (admission) order — the same order the object
-    path's per-flow dicts iterate in — without materializing a dict; the
-    TE app and metrics read these views instead of walking flow objects.
-    """
-
-    def __init__(
-        self,
-        store: "FlowStore",
-        getter: Callable[[int], object],
-        predicate: Optional[Callable[[int], bool]] = None,
-    ) -> None:
-        """Wrap ``store``; ``getter(row)`` produces values, ``predicate(row)``
-        (when given) filters both iteration and lookup."""
-        self._store = store
-        self._getter = getter
-        self._predicate = predicate
-
-    def __iter__(self) -> Iterator[int]:
-        """Active flow ids in admission order (predicate-filtered)."""
-        flow_id = self._store.flow_id
-        for row in self._store.active_rows().tolist():
-            if self._predicate is None or self._predicate(row):
-                yield int(flow_id[row])
-
-    def __len__(self) -> int:
-        """Number of flows the view exposes."""
-        if self._predicate is None:
-            return len(self._store)
-        return sum(1 for _ in self)
-
-    def __getitem__(self, flow_id: int) -> object:
-        """The column value for ``flow_id`` (KeyError when filtered out)."""
-        row = self._store.row(flow_id)
-        if self._predicate is not None and not self._predicate(row):
-            raise KeyError(flow_id)
-        return self._getter(row)
-
-
 class FlowStore:
     """Columnar per-flow simulation state over one topology's links.
 
     Rows are allocated in admission order and never recycled in place —
     completed rows are masked out and reclaimed by a *stable* compaction
     (triggered when at most half the high-water rows are still active),
-    so ascending row order always equals admission order.  That keeps
-    every argmin/iteration tie-break identical to the object path's
-    insertion-ordered dicts.
+    so ascending row order always equals admission order.  Every
+    argmin/iteration tie-break therefore resolves to the earliest-admitted
+    flow.
     """
 
     def __init__(
@@ -250,7 +207,11 @@ class FlowStore:
         self.link_capacity = np.array(
             [link_capacities[link] for link in links], dtype=np.float64
         )
+        self._capacity_by_id: Dict[int, float] = dict(
+            enumerate(self.link_capacity.tolist())
+        )
         self._path_arrays: Dict[Path, np.ndarray] = {}
+        self._path_ids: Dict[Path, Tuple[int, ...]] = {}
         capacity = max(int(capacity), 16)
         self._cap = capacity
         self.flow_id = np.zeros(capacity, dtype=np.int64)
@@ -318,6 +279,7 @@ class FlowStore:
                 ids.append(link_id)
             array = np.asarray(ids, dtype=np.int64)
             self._path_arrays[path] = array
+            self._path_ids[path] = tuple(ids)
         return array
 
     def _grow_rows(self) -> None:
@@ -501,8 +463,7 @@ class FlowStore:
 
     def next_completion(self, now: float) -> Tuple[float, Optional[int]]:
         """Earliest-finishing flow ``(eta, flow_id)`` — the vectorized ETA
-        scan, tie-breaking to the earliest-admitted flow like the object
-        scan's strict ``<``."""
+        scan, tie-breaking to the earliest-admitted flow."""
         rows = self.active_rows()
         if rows.size == 0:
             return math.inf, None
@@ -523,15 +484,25 @@ class FlowStore:
         return rows, lens, gathered
 
     def recompute(self) -> None:
-        """Recompute the rate column: vectorized max-min fair share.
+        """Recompute the rate column: max-min fair share.
 
-        Bit-identical to running the dict backend over the same flows —
-        see the module docstring's exactness contract.
+        Small active sets (fewer than :data:`DICT_FILL_MAX_PAIRS` pairs)
+        run the dict fill keyed by row with dense link ids as link keys;
+        larger ones run the vectorized fill.  Both are bit-identical — see
+        the module docstring's exactness contract.
         """
         rows = self.active_rows()
         if rows.size == 0:
             return
         lens = self._seg_len[rows]
+        if int(lens.sum()) < DICT_FILL_MAX_PAIRS:
+            row_list = rows.tolist()
+            rates = max_min_fair_rates(
+                {row: self._path_ids[self._paths[row]] for row in row_list},
+                self._capacity_by_id,
+            )
+            self.rate[rows] = [rates[row] for row in row_list]
+            return
         empty = lens == 0
         if empty.any():
             self.rate[rows[empty]] = UNCONSTRAINED_RATE
@@ -556,9 +527,10 @@ class FlowStore:
         )
 
     def utilization(self) -> Dict[Link, float]:
-        """Per-link utilization, bit-identical to the object path's
-        :func:`~repro.simulator.fairshare.link_utilization` (values *and*
-        dict insertion order, so TE planning tie-breaks don't move)."""
+        """Per-link utilization, bit-identical to
+        :func:`~repro.simulator.fairshare.link_utilization` over the same
+        flows (values *and* dict insertion order, which TE planning
+        tie-breaks read)."""
         rows, lens, gathered = self._gather_active()
         if gathered.size == 0:
             return {}
@@ -577,10 +549,14 @@ class FlowStore:
     # Link events
     # ------------------------------------------------------------------
     def fail_link(self, link: Link) -> None:
-        """Zero a failed link's capacity in the column."""
-        link_id = self._link_id.get(link)
-        if link_id is not None:
-            self.link_capacity[link_id] = 0.0
+        """Zero a failed link's capacity.
+
+        Raises:
+            KeyError: when the link is outside the topology.
+        """
+        link_id = self._link_id[link]
+        self.link_capacity[link_id] = 0.0
+        self._capacity_by_id[link_id] = 0.0
 
     def flows_on_link(self, link: Link) -> List[int]:
         """Active flow ids whose path traverses ``link``, admission order."""
@@ -597,17 +573,25 @@ class FlowStore:
     # Views
     # ------------------------------------------------------------------
     def te_views(self):
-        """``(flows, paths, eligible_paths, rates)`` mappings for the TE
-        app — store-backed views in admission order, no dict builds."""
-        flows = FlowColumnView(self, lambda row: self._specs[row])
-        paths = FlowColumnView(self, lambda row: self._paths[row])
-        eligible = FlowColumnView(
-            self,
-            lambda row: self._paths[row],
-            predicate=lambda row: not (self.flags[row] & FLAG_PENDING),
+        """``(flows, paths, eligible_paths, rates)`` for one TE epoch:
+        plain ``flow_id -> value`` dicts in admission order, built once so
+        the planner's per-flow lookups are dict hits."""
+        rows = self.active_rows().tolist()
+        flow_ids = self.flow_id[rows].tolist()
+        specs = [self._specs[row] for row in rows]
+        paths = [self._paths[row] for row in rows]
+        pending = (self.flags[rows] & FLAG_PENDING).tolist()
+        eligible = {
+            flow_id: path
+            for flow_id, path, held in zip(flow_ids, paths, pending)
+            if not held
+        }
+        return (
+            dict(zip(flow_ids, specs)),
+            dict(zip(flow_ids, paths)),
+            eligible,
+            dict(zip(flow_ids, self.rate[rows].tolist())),
         )
-        rates = FlowColumnView(self, lambda row: float(self.rate[row]))
-        return flows, paths, eligible, rates
 
 
 def _gather_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

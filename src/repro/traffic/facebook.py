@@ -86,6 +86,11 @@ def generate_jobs(
         time += float(generator.exponential(1.0 / arrival_rate))
         size = sample_job_size(generator)
         mappers_count, reducers_count = task_counts_for(size)
+        if mappers_count + reducers_count > len(hosts):
+            # Too few hosts for the job's tasks: shrink to every host,
+            # keeping roughly the 2:1 mapper:reducer ratio.
+            reducers_count = max(1, len(hosts) // 3)
+            mappers_count = len(hosts) - reducers_count
         participants = generator.choice(
             len(hosts), size=mappers_count + reducers_count, replace=False
         )

@@ -7,6 +7,7 @@ import textwrap
 from repro.analysis.lint import (
     ADHOC_EVENT_LOOP,
     BARE_PRAGMA,
+    BUILTIN_HASH,
     FLOAT_EQ,
     TRACER_WALL_CLOCK,
     UNORDERED_ITERATION,
@@ -26,6 +27,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 FIXTURE = os.path.join(HERE, "fixtures", "nondeterminism_bad.py")
 ENV_FIXTURE = os.path.join(HERE, "fixtures", "env_ordering_bad.py")
 LOOP_FIXTURE = os.path.join(HERE, "fixtures", "adhoc_event_loop_bad.py")
+HASH_FIXTURE = os.path.join(HERE, "fixtures", "builtin_hash_bad.py")
 
 
 def check(code):
@@ -350,6 +352,45 @@ class TestAdhocEventLoop:
         # _busy_until= (init), _busy_until+= — and the pragma'd heapify
         # stays suppressed.
         assert len(findings) == 8
+
+
+class TestBuiltinHash:
+    def test_module_level_call_flagged(self):
+        assert rules_of(check("port = hash(peer) % 64\n")) == [BUILTIN_HASH]
+
+    def test_dunder_hash_is_exempt(self):
+        code = """
+        class Key:
+            def __hash__(self):
+                return hash((self.a, self.b))
+        """
+        assert check(code) == []
+
+    def test_helper_called_from_dunder_hash_still_flagged(self):
+        code = """
+        class Key:
+            def __hash__(self):
+                return self._digest()
+
+            def _digest(self):
+                return hash(self.a)
+        """
+        assert rules_of(check(code)) == [BUILTIN_HASH]
+
+    def test_attribute_named_hash_is_clean(self):
+        assert check("import hashlib\nd = hashlib.sha256(b'x')\n") == []
+        assert check("value = table.hash(key)\n") == []
+
+    def test_pragma_suppresses(self):
+        code = (
+            "h = hash(7)  # det: allow(builtin-hash) -- int hashes are "
+            "unsalted\n"
+        )
+        assert check(code) == []
+
+    def test_fixture_trips_only_this_rule(self):
+        findings = lint_file(HASH_FIXTURE)
+        assert rules_of(findings) == [BUILTIN_HASH, BUILTIN_HASH]
 
 
 class TestPragmas:

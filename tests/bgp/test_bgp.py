@@ -1,5 +1,10 @@
 """Tests for the BGP substrate: RIB decision process, FIB compilation, streams."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -218,3 +223,49 @@ class TestStreams:
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             generate_updates(get_router_profile("nwax"), duration=0.0)
+
+
+# Compiles one seeded update stream with the default (peer-derived) port
+# map and prints every FlowMod plus the set of ports used.
+_FIB_SCRIPT = r"""
+import json
+
+import numpy as np
+
+from repro.bgp import BgpRouter, generate_updates, get_router_profile
+
+router = BgpRouter()
+updates = generate_updates(
+    get_router_profile("nwax"), duration=5.0, rng=np.random.default_rng(3)
+)
+mods = [repr(mod) for update in updates for mod in router.process(update)]
+ports = sorted({rule.action.port for rule in router.fib._installed.values()})
+print(json.dumps({"mods": mods, "ports": ports}))
+"""
+
+
+def _fib_under_hash_seed(seed):
+    root = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    env["PYTHONHASHSEED"] = str(seed)
+    result = subprocess.run(
+        [sys.executable, "-c", _FIB_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return json.loads(result.stdout)
+
+
+class TestDefaultPortDeterminism:
+    def test_flowmods_identical_across_hash_seeds(self):
+        first = _fib_under_hash_seed(0)
+        second = _fib_under_hash_seed(1)
+        assert len(first["ports"]) > 1  # the default port map is exercised
+        assert first["mods"] and first == second

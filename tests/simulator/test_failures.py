@@ -101,3 +101,19 @@ class TestFailureInjection:
         metrics = sim.run()
         assert len(metrics.fcts()) == 1
         assert sim.blackhole_time == 0.0  # nothing was in flight
+
+    def test_unknown_link_rejected_at_construction(self, tree):
+        # A misspelt node pair would otherwise add a phantom zero-capacity
+        # link and fail nothing.
+        flow = long_flow(tree)
+        factory = lambda name: make_installer("naive", ideal_switch())
+        with pytest.raises(ValueError, match="not a link of the topology"):
+            Simulation(tree, [flow], factory, failing_config(("agg0", "core0")))
+
+    def test_link_failure_accepts_either_endpoint_order(self, tree):
+        flow = long_flow(tree)
+        a, b = first_path_core_link(tree, flow)
+        factory = lambda name: make_installer("naive", pica8_p3290())
+        sim = Simulation(tree, [flow], factory, failing_config((b, a)))
+        sim.run()
+        assert sim.blackhole_time > 0

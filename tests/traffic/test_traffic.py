@@ -150,6 +150,20 @@ class TestFacebookJobs:
         job_ids = {job.job_id for job in jobs}
         assert all(flow.job_id in job_ids for flow in flows)
 
+    def test_large_jobs_fit_a_small_tree(self):
+        # Seed 25 draws a >=10 GB job (16 mappers + 8 reducers) for a
+        # 16-host k=4 fat tree; its tasks shrink to fit the hosts.
+        hosts = [f"h{i}" for i in range(16)]
+        jobs = generate_jobs(hosts, job_count=20, rng=np.random.default_rng(25))
+        assert len(jobs) == 20
+        big = [job for job in jobs if job.total_bytes >= 10e9]
+        assert big
+        for job in big:
+            sources = {flow.source for flow in job.flows}
+            destinations = {flow.destination for flow in job.flows}
+            assert not sources & destinations
+            assert len(sources | destinations) == len(hosts)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_jobs(["a"], job_count=5)
