@@ -95,7 +95,7 @@ def _synthetic_flows(count, seed=11, size=5e6):
 
 def _naive_factory():
     timing = get_switch_model("pica8-p3290")
-    return lambda name: make_installer("naive", timing)
+    return lambda name, injector: make_installer("naive", timing, injector=injector)
 
 
 def _loaded_simulation(graph, flows, config):

@@ -29,7 +29,9 @@ def run_once(graph, flows, scheme: str, switch: str):
         initial_path_policy="static",
         max_time=1200.0,
     )
-    factory = lambda name: make_installer(scheme, get_switch_model(switch))
+    factory = lambda name, injector: make_installer(
+        scheme, get_switch_model(switch), injector=injector
+    )
     simulation = Simulation(graph, list(flows), factory, config)
     return simulation.run()
 

@@ -46,7 +46,6 @@ from .snapshot import (
     dump_snapshot,
     load_snapshot,
     read_snapshot,
-    snapshot_installer,
     snapshot_tables,
 )
 from .stats import (
@@ -121,7 +120,6 @@ __all__ = [
     "run_fixture",
     "run_scenario",
     "semantic_diff",
-    "snapshot_installer",
     "snapshot_tables",
     "verify_installer",
     "verify_moveplan",

@@ -22,9 +22,9 @@ def make_installer(name, timing, rng=None, hermes_config=None, injector=None):
     """Build an installer by name over the given switch timing model.
 
     ``hermes_config`` is only consulted for ``name="hermes"``.  ``injector``
-    (a :class:`~repro.faults.injector.FaultInjector`) routes TCAM writes
-    through the fault model for the schemes that support it — naive and
-    Hermes, the pair the chaos experiments compare.
+    (the run's :class:`~repro.faults.injector.FaultInjector`; None: a null
+    one) routes TCAM writes through the fault model for the schemes that
+    support it — naive and Hermes, the pair the chaos experiments compare.
     """
     key = name.strip().lower()
     if key == "naive":

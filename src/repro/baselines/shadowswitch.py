@@ -176,51 +176,15 @@ class ShadowSwitchInstaller(RuleInstaller):
     def _modify(self, flow_mod: FlowMod) -> FlowModResult:
         rule_id = flow_mod.rule_id
         if rule_id in self._software:
-            original = self._software[rule_id]
-            self._software[rule_id] = Rule(
-                match=(
-                    flow_mod.new_match
-                    if flow_mod.new_match is not None
-                    else original.match
-                ),
-                priority=(
-                    flow_mod.new_priority
-                    if flow_mod.new_priority is not None
-                    else original.priority
-                ),
-                action=(
-                    flow_mod.new_action
-                    if flow_mod.new_action is not None
-                    else original.action
-                ),
-                rule_id=rule_id,
-                origin_id=original.origin_id,
+            self._software[rule_id] = flow_mod.replacement_for(
+                self._software[rule_id]
             )
             return FlowModResult(
                 latency=self.software_insert_latency, installed_rule_ids=(rule_id,)
             )
         if flow_mod.changes_priority or flow_mod.new_match is not None:
-            original = self.tcam.get(rule_id)
+            replacement = flow_mod.replacement_for(self.tcam.get(rule_id))
             latency = self.tcam.delete(rule_id).latency
-            replacement = Rule(
-                match=(
-                    flow_mod.new_match
-                    if flow_mod.new_match is not None
-                    else original.match
-                ),
-                priority=(
-                    flow_mod.new_priority
-                    if flow_mod.new_priority is not None
-                    else original.priority
-                ),
-                action=(
-                    flow_mod.new_action
-                    if flow_mod.new_action is not None
-                    else original.action
-                ),
-                rule_id=rule_id,
-                origin_id=original.origin_id,
-            )
             latency += self.tcam.insert(replacement).latency
             return FlowModResult(latency=latency, installed_rule_ids=(rule_id,))
         result = self.tcam.modify(rule_id, action=flow_mod.new_action)

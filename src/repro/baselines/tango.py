@@ -203,19 +203,7 @@ class TangoInstaller(RuleInstaller):
             return result
         # Aggregated or repositioning: split into delete + re-add.
         original = next(m for m in members if m.rule_id == flow_mod.rule_id)
-        replacement = Rule(
-            match=flow_mod.new_match if flow_mod.new_match is not None else original.match,
-            priority=(
-                flow_mod.new_priority
-                if flow_mod.new_priority is not None
-                else original.priority
-            ),
-            action=(
-                flow_mod.new_action if flow_mod.new_action is not None else original.action
-            ),
-            rule_id=original.rule_id,
-            origin_id=original.origin_id,
-        )
+        replacement = flow_mod.replacement_for(original)
         delete_result = self._delete_logical(flow_mod.rule_id)
         add_result = self._install_physical(replacement, [replacement])
         return FlowModResult(

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 from ..tcam.timing import EmpiricalTimingModel
 
+# Seconds of Rule Manager CPU per rule-sqrt(rules) unit of step-2 optimizer
+# work: calibrates the Fig 15(b) curve, and is what the migration-time
+# estimate above charges before any migration has been observed.
+OPTIMIZER_UNIT_COST = 2e-6
+
 
 @dataclass(frozen=True)
 class GuaranteeSpec:
@@ -91,7 +96,6 @@ def estimate_migration_time(
     timing: EmpiricalTimingModel,
     rules_to_move: int,
     main_occupancy: int,
-    optimizer_unit_cost: float = 2e-6,
 ) -> float:
     """Estimate t_m: optimizer time plus main-table write time.
 
@@ -103,7 +107,7 @@ def estimate_migration_time(
     if rules_to_move < 0 or main_occupancy < 0:
         raise ValueError("rule counts cannot be negative")
     total_rules = rules_to_move + main_occupancy
-    optimizer_time = optimizer_unit_cost * rules_to_move * max(1.0, total_rules**0.5)
+    optimizer_time = OPTIMIZER_UNIT_COST * rules_to_move * max(1.0, total_rules**0.5)
     # Migration writes have pre-planned placements (the step-2 optimizer
     # computes them, in the spirit of RuleTris [62]), so each write costs
     # the empty-table insert latency rather than the shifting cost.

@@ -24,7 +24,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..engine.clock import Clock
-from ..faults.table import FaultyTable, verified_insert
+from ..faults.injector import FaultInjector
+from ..faults.table import verified_insert
 from ..obs.tracer import get_tracer
 from ..switchsim.installer import RuleInstaller
 from ..switchsim.messages import FlowMod, FlowModCommand, FlowModResult
@@ -33,6 +34,27 @@ from ..tcam.slices import CarvedTcam, SliceConfig
 from ..tcam.table import TcamTable
 from ..tcam.timing import EmpiricalTimingModel
 from ..tcam.trie import PrefixRuleIndex
+from .correction import Corrector, DeadzoneCorrector, SlackCorrector, make_corrector
+from .gatekeeper import GateKeeper, MatchPredicate, TokenBucket, match_all
+from .guarantees import (
+    GuaranteeSpec,
+    estimate_migration_time,
+    max_insertion_rate,
+    shadow_capacity_for,
+)
+from .partition import PartitionMap, partition_new_rule
+from .prediction import Predictor, make_predictor
+from .rule_manager import (
+    MigrationTrigger,
+    PredictiveTrigger,
+    RuleManager,
+    ThresholdTrigger,
+)
+
+# Modelled software cost, per main-table rule examined, of Algorithm 1's
+# overlap scan (Fig 15(b) shows the insertion-side algorithms are cheap;
+# this keeps them so).
+PARTITION_LATENCY_PER_RULE = 2e-7
 
 
 class _IndexSync:
@@ -50,22 +72,6 @@ class _IndexSync:
     def rule_modified(self, old: Rule, new: Rule) -> None:
         self._index.discard(old.rule_id)
         self._index.add(new)
-from .correction import Corrector, DeadzoneCorrector, SlackCorrector, make_corrector
-from .gatekeeper import GateKeeper, MatchPredicate, TokenBucket, match_all
-from .guarantees import (
-    GuaranteeSpec,
-    estimate_migration_time,
-    max_insertion_rate,
-    shadow_capacity_for,
-)
-from .partition import PartitionMap, partition_new_rule
-from .prediction import Predictor, make_predictor
-from .rule_manager import (
-    MigrationTrigger,
-    PredictiveTrigger,
-    RuleManager,
-    ThresholdTrigger,
-)
 
 
 @dataclass
@@ -92,9 +98,6 @@ class HermesConfig:
         verify_migrations: have the Rule Manager replay each migration's
             placement plan through the moveplan verifier before writing
             it; findings land in ``rule_manager.migration_violations``.
-        partition_latency_budget: modelled software cost, per main-table
-            rule examined, of Algorithm 1's overlap scan (Fig 15(b) shows
-            the insertion-side algorithms are cheap; this keeps them so).
         degraded_window: how long (seconds) Hermes stays degraded after the
             control channel's circuit breaker opens — guaranteed rules
             demote to best-effort for this window rather than pretending
@@ -114,7 +117,6 @@ class HermesConfig:
     optimize_migration: bool = True
     shadow_capacity: Optional[int] = None
     verify_migrations: bool = False
-    partition_latency_budget: float = 2e-7
     auto_tune: bool = False
     degraded_window: float = 1.0
 
@@ -160,12 +162,11 @@ class HermesInstaller(RuleInstaller):
             config: Hermes tunables; defaults to the paper's configuration.
             predicate: selects which rules receive guarantees.
             rng: optional generator enabling latency noise.
-            injector: optional :class:`~repro.faults.injector.FaultInjector`.
-                When given, slice writes go through fault-wrapped tables,
-                every insert is verified against the fault log and
-                re-issued on loss, and the Rule Manager verifies its
-                migrations (the partition invariant survives silent write
-                failures).  None keeps the fault-free hot path untouched.
+            injector: the run's :class:`~repro.faults.injector.FaultInjector`
+                (None: a null one).  Under TCAM write faults the slices
+                are fault-wrapped; every insert, here and in the Rule
+                Manager, is verified and re-issued on loss either way, so
+                the partition invariant survives silent write failures.
 
         Raises:
             ValueError: when the requested guarantee is infeasible on this
@@ -173,7 +174,7 @@ class HermesInstaller(RuleInstaller):
         """
         self.timing = timing
         self.config = config if config is not None else HermesConfig()
-        self.injector = injector
+        self.injector = injector if injector is not None else FaultInjector()
         self._clock = Clock()
         self._degraded_until: Optional[float] = None
         shadow_capacity = (
@@ -196,22 +197,18 @@ class HermesInstaller(RuleInstaller):
             ],
             rng=rng,
         )
-        # The tables every Hermes component writes through.  With an
-        # injector they are fault-wrapped proxies over the carved slices
-        # (recarve mutates the slice in place, so the wrappers stay valid
-        # across reconfiguration); without one they are the slices
-        # themselves and no fault machinery touches the hot path.
-        if injector is not None:
-            clock = lambda: self._now  # noqa: E731
-            self._shadow_table = FaultyTable(
-                self.tcam.slice("shadow"), injector, clock=clock
-            )
-            self._main_table = FaultyTable(
-                self.tcam.slice("main"), injector, clock=clock
-            )
-        else:
-            self._shadow_table = self.tcam.slice("shadow")
-            self._main_table = self.tcam.slice("main")
+        # The tables every Hermes component writes through.  Under TCAM
+        # write faults they are fault-wrapped proxies over the carved
+        # slices (recarve mutates the slice in place, so the wrappers stay
+        # valid across reconfiguration); otherwise they are the slices
+        # themselves and no proxy touches the hot path.
+        clock = lambda: self._now  # noqa: E731
+        self._shadow_table = self.injector.wrap_table(
+            self.tcam.slice("shadow"), clock=clock
+        )
+        self._main_table = self.injector.wrap_table(
+            self.tcam.slice("main"), clock=clock
+        )
         self.partition_map = PartitionMap()
         # Overlap index over the main table, kept in lock-step through the
         # table's change notifications: Algorithm 1's DetectOverlap runs in
@@ -227,9 +224,8 @@ class HermesInstaller(RuleInstaller):
             epoch=self.config.epoch,
             optimize=self.config.optimize_migration,
             atomic=self.config.atomic_migration,
-            verify_writes=injector is not None,
             verify_migrations=self.config.verify_migrations,
-            fault_log=injector.log if injector is not None else None,
+            fault_log=self.injector.log,
         )
         bucket = None
         if self.config.admission_control:
@@ -268,12 +264,14 @@ class HermesInstaller(RuleInstaller):
 
     @property
     def shadow(self) -> TcamTable:
-        """The small guaranteed-insertion slice (fault-wrapped if injecting)."""
+        """The small guaranteed-insertion slice (fault-wrapped under TCAM
+        write faults)."""
         return self._shadow_table
 
     @property
     def main(self) -> TcamTable:
-        """The large best-effort slice (fault-wrapped if injecting)."""
+        """The large best-effort slice (fault-wrapped under TCAM write
+        faults)."""
         return self._main_table
 
     def _table(self, slice_name: str) -> TcamTable:
@@ -296,8 +294,7 @@ class HermesInstaller(RuleInstaller):
         until = now + window
         if self._degraded_until is None or until > self._degraded_until:
             self._degraded_until = until
-        if self.injector is not None:
-            self.injector.log.record("degraded-enter", time=now, until=until)
+        self.injector.log.record("degraded-enter", time=now, until=until)
 
     def is_degraded(self, now: float) -> bool:
         """True while guarantees are suspended."""
@@ -515,9 +512,7 @@ class HermesInstaller(RuleInstaller):
             )
         blockers = self._main_index.blockers_for(rule)
         outcome = partition_new_rule(rule, blockers)
-        latency = self.config.partition_latency_budget * max(
-            32, 4 * len(blockers)
-        )
+        latency = PARTITION_LATENCY_PER_RULE * max(32, 4 * len(blockers))
         if tracer.enabled:
             # ``latency`` at this point is pure GateKeeper + Algorithm 1
             # cost; the TCAM writes below add on top of it.
@@ -646,13 +641,12 @@ class HermesInstaller(RuleInstaller):
     def _insert_resilient(self, table, rule: Rule) -> float:
         """Insert, surviving injected write faults.
 
-        Fault-free installs (no injector) are a plain ``insert`` — byte
-        identical to the seed.  Under injection the write is verified and
-        re-issued; an install that stays lost after the retry budget is
-        recorded in the fault log so experiments can count it.
+        The write is verified and re-issued on loss; on a plain table that
+        is one insert plus one membership test, with the same latency and
+        RNG draws as a bare insert.  An install that stays lost after the
+        retry budget is recorded in the fault log so experiments can count
+        it.
         """
-        if self.injector is None:
-            return table.insert(rule).latency
         latency, ok = verified_insert(table, rule)
         if not ok:
             self.injector.log.record(
@@ -682,34 +676,13 @@ class HermesInstaller(RuleInstaller):
                     .latency
                 )
             if self.partition_map.is_partitioned(rule_id):
-                refreshed = Rule(
-                    match=original.match,
-                    priority=original.priority,
-                    action=flow_mod.new_action,
-                    rule_id=original.rule_id,
-                    origin_id=original.origin_id,
+                self.partition_map.update_original(
+                    rule_id, flow_mod.replacement_for(original)
                 )
-                self.partition_map.update_original(rule_id, refreshed)
             return FlowModResult(latency=latency, installed_rule_ids=(rule_id,))
         # Match or priority changes reposition TCAM entries: the paper
         # converts them into delete + insert (Section 4.1).
-        replacement = Rule(
-            match=(
-                flow_mod.new_match if flow_mod.new_match is not None else original.match
-            ),
-            priority=(
-                flow_mod.new_priority
-                if flow_mod.new_priority is not None
-                else original.priority
-            ),
-            action=(
-                flow_mod.new_action
-                if flow_mod.new_action is not None
-                else original.action
-            ),
-            rule_id=original.rule_id,
-            origin_id=original.origin_id,
-        )
+        replacement = flow_mod.replacement_for(original)
         delete_result = self._apply_delete(rule_id)
         add_result = self._apply_add(replacement)
         return FlowModResult(

@@ -28,15 +28,25 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..faults.log import FaultLog
 from ..faults.table import TcamWriteError, verified_insert
 from ..obs.tracer import get_tracer
+from ..tcam.moveplan import conflicts_with_resident
 from ..tcam.rule import Rule
 from ..tcam.table import TcamTable
 from ..tcam.ternary import TernaryMatch
 from .correction import Corrector
-from ..tcam.moveplan import conflicts_with_resident
+from .guarantees import OPTIMIZER_UNIT_COST
 from .partition import PartitionMap, partition_new_rule
 from .prediction import Predictor
+
+# Seconds per rule for the step-1 copy out of the shadow.
+COPY_UNIT_COST = 1e-7
+# A forecast-independent migration backstop: a shadow filled beyond this
+# fraction migrates even when the predictor sees a quiet series (bursty
+# workloads can park the occupancy high between bursts while the per-epoch
+# forecast reads near zero).
+HIGH_WATERMARK = 0.9
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,7 @@ class MigrationReport:
             uncovered — always 0 under atomic migration.
         rules_reissued: step-3 writes that had to be re-issued because the
             TCAM write failed (visibly or silently) under fault injection —
-            always 0 without an injector.
+            always 0 on fault-free tables.
     """
 
     started_at: float
@@ -85,24 +95,12 @@ class PredictiveTrigger(MigrationTrigger):
 
     The predicted next-epoch arrivals, inflated by the corrector, are added
     to the current occupancy; migration fires when the sum would exceed the
-    shadow capacity.
+    shadow capacity, or when the shadow is past :data:`HIGH_WATERMARK`.
     """
 
-    def __init__(
-        self,
-        predictor: Predictor,
-        corrector: Corrector,
-        high_watermark: float = 0.9,
-    ) -> None:
-        """``high_watermark`` is a forecast-independent backstop: a shadow
-        filled beyond this fraction migrates even when the predictor sees a
-        quiet series (bursty workloads can park the occupancy high between
-        bursts while the per-epoch forecast reads near zero)."""
-        if not 0.0 < high_watermark <= 1.0:
-            raise ValueError(f"high_watermark must be in (0, 1]: {high_watermark}")
+    def __init__(self, predictor: Predictor, corrector: Corrector) -> None:
         self.predictor = predictor
         self.corrector = corrector
-        self.high_watermark = high_watermark
         self.last_forecast = 0.0
         # Watermark firings mean the forecast undershot badly enough that
         # the backstop had to act — the signal the auto-tuner learns from.
@@ -119,7 +117,7 @@ class PredictiveTrigger(MigrationTrigger):
         self.last_forecast = self.corrector.apply(self.predictor.predict())
         if occupancy + self.last_forecast > capacity:
             return True
-        if occupancy >= self.high_watermark * capacity:
+        if occupancy >= HIGH_WATERMARK * capacity:
             self.watermark_fires += 1
             return True
         return False
@@ -157,11 +155,8 @@ class RuleManager:
         epoch: float = 0.05,
         optimize: bool = True,
         atomic: bool = True,
-        optimizer_unit_cost: float = 2e-6,
-        copy_unit_cost: float = 1e-7,
-        verify_writes: bool = False,
         verify_migrations: bool = False,
-        fault_log=None,
+        fault_log: Optional[FaultLog] = None,
     ) -> None:
         """Wire the manager to its tables.
 
@@ -174,21 +169,15 @@ class RuleManager:
             epoch: prediction interval in seconds.
             optimize: enable the step-2 rule minimizer (ablation flag).
             atomic: insert-before-delete consistency (ablation flag).
-            optimizer_unit_cost: seconds of CPU per rule-sqrt(rules) unit of
-                optimizer work (calibrates the Fig 15(b) curve).
-            copy_unit_cost: seconds per rule for the step-1 copy.
-            verify_writes: check every step-3 write against the table and
-                re-issue lost ones — required under fault injection, where
-                a write can silently no-op and break the partition
-                invariant (a migrated rule the main table never received).
             verify_migrations: run :func:`repro.analysis.verifier.
                 verify_moveplan` over each migration batch *before* it is
                 written, replaying every intermediate state of the planned
                 placement.  Findings accumulate in ``migration_violations``
                 and surface through the tracer; the migration proceeds
                 regardless (the checker is an observer, not a gate).
-            fault_log: optional :class:`~repro.faults.log.FaultLog` to
-                record re-issues and permanently lost writes into.
+            fault_log: the :class:`~repro.faults.log.FaultLog` re-issues
+                and permanently lost writes are recorded into (None: a
+                private one).
         """
         if epoch <= 0:
             raise ValueError(f"epoch must be positive, got {epoch}")
@@ -199,11 +188,8 @@ class RuleManager:
         self.epoch = epoch
         self.optimize = optimize
         self.atomic = atomic
-        self.optimizer_unit_cost = optimizer_unit_cost
-        self.copy_unit_cost = copy_unit_cost
-        self.verify_writes = verify_writes
         self.verify_migrations = verify_migrations
-        self.fault_log = fault_log
+        self.fault_log = fault_log if fault_log is not None else FaultLog()
         self.reissued_writes = 0
         self.migrations: List[MigrationReport] = []
         self.migration_violations: List = []
@@ -255,7 +241,7 @@ class RuleManager:
         )
         shadow_rules = self.shadow.rules()
         rules_copied = len(shadow_rules)
-        copy_time = self.copy_unit_cost * (rules_copied + self.main.occupancy)
+        copy_time = COPY_UNIT_COST * (rules_copied + self.main.occupancy)
         if rules_copied == 0:
             report = MigrationReport(
                 started_at=now,
@@ -344,7 +330,7 @@ class RuleManager:
         Returns (optimized rules, rules merged away, modelled CPU seconds).
         """
         if not self.optimize:
-            time_cost = self.optimizer_unit_cost * len(shadow_rules)
+            time_cost = OPTIMIZER_UNIT_COST * len(shadow_rules)
             return list(shadow_rules), 0, time_cost
 
         # Collapse fragment families back into their originals: safe once
@@ -380,7 +366,7 @@ class RuleManager:
         work_units = len(shadow_rules) * max(
             1.0, (len(shadow_rules) + self.main.occupancy) ** 0.5
         )
-        return optimized, merged_away, self.optimizer_unit_cost * work_units
+        return optimized, merged_away, OPTIMIZER_UNIT_COST * work_units
 
     def _merge_family(
         self, origin_id: int, fragments: List[Rule], keep_ids: Set[int] = frozenset()
@@ -420,10 +406,8 @@ class RuleManager:
 
     def _insert_shadow(self, rule: Rule) -> float:
         """Insert a stranded fragment back into the shadow, surviving faults."""
-        if not self.verify_writes:
-            return self.shadow.insert(rule).latency
         latency, ok = verified_insert(self.shadow, rule)
-        if not ok and self.fault_log is not None:
+        if not ok:
             self.fault_log.record(
                 "migration-strand-lost", time=0.0, target=self.shadow.name,
                 rule_id=rule.rule_id,
@@ -494,11 +478,12 @@ class RuleManager:
         main table are refreshed via the atomic (insert-then-delete) or
         naive (delete-then-insert) protocol.
 
-        With ``verify_writes`` every write is checked against the table
-        afterwards and lost ones are re-issued — Algorithm 1's partition
-        invariant rests on migrated rules actually being in the main table,
-        so a silently failed write left unrepaired would leave a shadow
-        resident believing its blocker moved when it never arrived.
+        Every write is checked against the table afterwards and lost ones
+        are re-issued — Algorithm 1's partition invariant rests on migrated
+        rules actually being in the main table, so a silently failed write
+        left unrepaired would leave a shadow resident believing its blocker
+        moved when it never arrived.  On a fault-free table the check is
+        one membership test per write.
         """
         write_time = 0.0
         gap_time = 0.0
@@ -553,8 +538,6 @@ class RuleManager:
                 write_time += insert_latency + delete_latency
                 gap_time += insert_latency  # uncovered until re-inserted
                 expected.append((rule, planned, None))
-        if not self.verify_writes:
-            return write_time, gap_time, reissued
         for rule, planned, stale_id in expected:
             if rule.rule_id not in self.main:
                 if self.main.is_full:
@@ -563,11 +546,10 @@ class RuleManager:
                 latency, ok = verified_insert(self.main, rule, planned=planned)
                 write_time += latency
                 reissued += 1
-                if self.fault_log is not None:
-                    self.fault_log.record(
-                        "migration-reissue", time=now, target=self.main.name,
-                        rule_id=rule.rule_id, recovered=ok,
-                    )
+                self.fault_log.record(
+                    "migration-reissue", time=now, target=self.main.name,
+                    rule_id=rule.rule_id, recovered=ok,
+                )
                 if not ok:
                     # Persistent failure: if a stale twin still serves, the
                     # logical rule stays covered; otherwise strand it back

@@ -29,7 +29,7 @@ from ..analysis import ExperimentResult, verify_installer
 from ..analysis.violations import DUPLICATE_ENTRY, PRIORITY_INVERSION
 from ..baselines import make_installer
 from ..engine.sweep import SweepRunner
-from ..faults import FaultInjector, FaultPlan, FlowModFault, TcamWriteFault
+from ..faults import FaultPlan, FlowModFault, TcamWriteFault
 from ..obs import OnlineVerifier, RecordingTracer, use_tracer
 from ..simulator import Simulation, SimulationConfig, TeAppConfig
 from ..switchsim import ChannelConfig
@@ -82,21 +82,17 @@ def verify_simulation(simulation) -> List[dict]:
     return violations
 
 
-def run_cell(
+def build_simulation(
     scheme: str, channel: str, drop_rate: float, config: ChaosConfig
-):
-    """One (scheme, channel, drop-rate) cell.
+) -> Simulation:
+    """Build (but do not run) the faulted k-ary fat-tree run of one cell.
 
-    The cell runs under a :class:`~repro.obs.RecordingTracer`: the retry
-    and injected-loss columns are read back from the metrics registry the
-    trace feeds (rather than ad-hoc counters), and an
-    :class:`~repro.obs.OnlineVerifier` re-checks table invariants *during*
-    the run on a sampled schedule, catching the first violating
-    sim-instant instead of only the end state.
-
-    Returns the measured row tail, then the verifier's structured
-    violation records, then an observability dict (online-verification
-    report plus the full counter dump).
+    The one place a chaos run is assembled: the sweep's cells, the canned
+    ``demo``/``chaos`` scenarios and ``python -m repro.obs scenario`` all
+    call it.  Faults enter through ``SimulationConfig.fault_plan`` alone;
+    the simulation hands its one injector to every component.  Callers
+    that want a trace install a recording tracer around the *call*
+    (agents capture the ambient tracer when built).
     """
     graph = build_fat_tree(
         FatTreeSpec(k=config.fat_tree_k, link_capacity=config.link_capacity)
@@ -117,7 +113,6 @@ def run_cell(
         ),
         tcam=TcamWriteFault(silent=config.tcam_silent),
     )
-    injector = FaultInjector(plan=plan, seed=config.seed)
     sim_config = SimulationConfig(
         te=TeAppConfig(epoch=0.25),
         baseline_occupancy=200,
@@ -129,9 +124,31 @@ def run_cell(
     )
     timing = get_switch_model(config.switch)
     hermes_config = default_hermes_config() if scheme == "hermes" else None
-    factory = lambda name: make_installer(
-        scheme, timing, hermes_config=hermes_config, injector=injector
-    )
+
+    def factory(switch_name, injector):
+        return make_installer(
+            scheme, timing, hermes_config=hermes_config, injector=injector
+        )
+
+    return Simulation(graph, flows, factory, sim_config)
+
+
+def run_cell(
+    scheme: str, channel: str, drop_rate: float, config: ChaosConfig
+):
+    """One (scheme, channel, drop-rate) cell.
+
+    The cell runs under a :class:`~repro.obs.RecordingTracer`: the retry
+    and injected-loss columns are read back from the metrics registry the
+    trace feeds (rather than ad-hoc counters), and an
+    :class:`~repro.obs.OnlineVerifier` re-checks table invariants *during*
+    the run on a sampled schedule, catching the first violating
+    sim-instant instead of only the end state.
+
+    Returns the measured row tail, then the verifier's structured
+    violation records, then an observability dict (online-verification
+    report plus the full counter dump).
+    """
     tracer = RecordingTracer(
         meta={
             "experiment": "chaos",
@@ -142,9 +159,7 @@ def run_cell(
         }
     )
     with use_tracer(tracer):
-        simulation = Simulation(
-            graph, flows, factory, sim_config, injector=injector
-        )
+        simulation = build_simulation(scheme, channel, drop_rate, config)
         verifier = OnlineVerifier(
             {
                 name: agent.installer

@@ -76,16 +76,20 @@ def heterogeneous_installer_factory(
     default_switch: str = "pica8-p3290",
     hermes_config: Optional[HermesConfig] = None,
     seed: Optional[int] = None,
-) -> Callable[[str], object]:
+) -> Callable[[str, object], object]:
     """Per-role switch models (real fabrics mix hardware generations).
 
     ``model_by_role`` maps a switch-name prefix (``"edge"`` / ``"agg"`` /
     ``"core"``, or any prefix of your topology's naming scheme) to a switch
-    model registry key; unmatched switches use ``default_switch``.
+    model registry key; unmatched switches use ``default_switch``.  The
+    returned ``factory(switch_name, injector)`` wires each installer to the
+    run's fault injector; with ``seed`` each switch also gets its own named
+    :class:`~repro.engine.rng.RngStreams` stream (``installer:<switch>``),
+    so latency noise differs per switch but runs stay reproducible.
     """
     streams = RngStreams(seed) if seed is not None else None
 
-    def factory(switch_name: str):
+    def factory(switch_name: str, injector):
         switch = default_switch
         for role, model in model_by_role.items():
             if switch_name.startswith(role):
@@ -101,6 +105,7 @@ def heterogeneous_installer_factory(
             hermes_config=(
                 replace(hermes_config) if hermes_config is not None else None
             ),
+            injector=injector,
         )
 
     return factory
@@ -111,29 +116,12 @@ def installer_factory(
     switch: str,
     hermes_config: Optional[HermesConfig] = None,
     seed: Optional[int] = None,
-) -> Callable[[str], object]:
-    """A per-switch installer factory for the simulator.
-
-    Each switch gets an independent installer (and an independent named
-    :class:`~repro.engine.rng.RngStreams` stream when ``seed`` is given, so
-    latency noise differs per switch but runs stay reproducible).
-    """
-    streams = RngStreams(seed) if seed is not None else None
-
-    def factory(switch_name: str):
-        rng = None
-        if streams is not None:
-            rng = streams.stream(f"installer:{switch_name}")
-        return make_installer(
-            scheme,
-            get_switch_model(switch),
-            rng=rng,
-            hermes_config=(
-                replace(hermes_config) if hermes_config is not None else None
-            ),
-        )
-
-    return factory
+) -> Callable[[str, object], object]:
+    """A per-switch installer factory for the simulator: every switch is a
+    ``switch`` (see :func:`heterogeneous_installer_factory`)."""
+    return heterogeneous_installer_factory(
+        scheme, {}, default_switch=switch, hermes_config=hermes_config, seed=seed
+    )
 
 
 # ----------------------------------------------------------------------
@@ -264,42 +252,16 @@ def canned_scenario(name: str):
         simulation = Simulation(graph, list(flows), factory, config)
         meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
     elif name in ("demo", "chaos"):
-        from ..faults import FaultInjector, FaultPlan, FlowModFault
-        from ..switchsim import ChannelConfig
+        from .chaos import ChaosConfig, build_simulation
 
-        graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-        flows = flows_of(
-            generate_jobs(
-                hosts(graph), job_count=4, arrival_rate=6.0,
-                rng=np.random.default_rng(13),
-            )
-        )
-        plan = FaultPlan(flowmod=FlowModFault(drop=0.1, ack_loss_fraction=0.3))
-        injector = FaultInjector(plan=plan, seed=13)
-        config = SimulationConfig(
-            te=TeAppConfig(epoch=0.25),
-            baseline_occupancy=200,
-            max_time=2.5,
-            channel="resilient",
-            channel_config=ChannelConfig(),
-            fault_plan=plan,
-            fault_seed=13,
-        )
-        timing = get_switch_model("pica8-p3290")
-        hermes_config = default_hermes_config()
-
-        def factory(switch_name):
-            return make_installer(
-                "hermes", timing, hermes_config=hermes_config, injector=injector
-            )
-
-        simulation = Simulation(graph, flows, factory, config, injector=injector)
+        config = ChaosConfig(job_count=4, duplicate=0.0, max_time=2.5, seed=13)
+        simulation = build_simulation("hermes", "resilient", 0.1, config)
         meta = {
             "scenario": name,
             "scheme": "hermes",
-            "switch": "pica8-p3290",
+            "switch": config.switch,
             "drop": 0.1,
-            "seed": 13,
+            "seed": config.seed,
         }
     else:
         raise ValueError(

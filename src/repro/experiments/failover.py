@@ -81,8 +81,9 @@ def run_scheme(label: str, scheme: str, switch: str, config: FailoverConfig):
         link_failures=_failure_schedule(graph, config),
     )
     hermes_config = default_hermes_config() if scheme == "hermes" else None
-    factory = lambda name: make_installer(
-        scheme, get_switch_model(switch), hermes_config=hermes_config
+    factory = lambda name, injector: make_installer(
+        scheme, get_switch_model(switch), hermes_config=hermes_config,
+        injector=injector,
     )
     simulation = Simulation(graph, flows, factory, sim_config)
     metrics = simulation.run()

@@ -1,26 +1,34 @@
 """The fault injector: deterministic, seedable fault decisions.
 
-One :class:`FaultInjector` is shared by every component of a run (channels,
-agents, fault-wrapped TCAM tables).  All randomness flows from a single
-seeded generator, so a run with the same plan and seed injects the same
-faults at the same points — the determinism contract the chaos experiments
-and the regression tests rely on.
+One :class:`FaultInjector` is shared by every component of a run (the
+controller, channels, agents, installers and their fault-wrapped TCAM
+tables): :class:`~repro.simulator.simulation.Simulation` builds it from
+``SimulationConfig.fault_plan``/``fault_seed`` and hands it to each of
+them.  All randomness flows from a single seeded generator, so a run with
+the same plan and seed injects the same faults at the same points — the
+determinism contract the chaos experiments and the regression tests rely
+on.
 
 Probability draws are *gated*: a fault class with probability zero consumes
-no randomness at all, so attaching an injector with the default (null) plan
-leaves a run byte-identical to one without any injector.
+no randomness at all, so an injector with the default (null) plan leaves a
+run byte-identical to a fault-free one.  Components built standalone get
+their own null injector, so none of them branches on a missing one.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .log import FaultLog
 from .spec import FaultPlan
+from .table import FaultyTable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..tcam.table import TcamTable
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,9 @@ class ChannelVerdict:
     def lost(self) -> bool:
         """True when the controller will not hear back from this attempt."""
         return self.kind in ("drop", "drop-ack")
+
+
+_DELIVER = ChannelVerdict("deliver")
 
 
 class FaultInjector:
@@ -84,11 +95,21 @@ class FaultInjector:
                 "flowmod-delay", time=now, target=target, xid=xid, delay=spec.delay
             )
             return ChannelVerdict("delay", delay=spec.delay)
-        return ChannelVerdict("deliver")
+        return _DELIVER
 
     # ------------------------------------------------------------------
     # TCAM write path
     # ------------------------------------------------------------------
+    def wrap_table(self, table: "TcamTable", clock=None):
+        """``table`` behind a :class:`~repro.faults.table.FaultyTable` when
+        the plan injects TCAM write faults, else ``table`` itself — a
+        fault-free write pays no proxy.  ``clock`` stamps fault-log events
+        (see :class:`FaultyTable`)."""
+        spec = self.plan.tcam
+        if spec.fail > 0 or spec.silent > 0:
+            return FaultyTable(table, self, clock=clock)
+        return table
+
     def write_verdict(
         self, now: float, table: str = "", rule_id: Optional[int] = None
     ) -> str:

@@ -7,7 +7,7 @@ re-verifies the switch's installer and records the first sim-instant at
 which a violation exists.  The chaos harness attaches one per cell and
 reports the result through ``ExperimentResult.extras``.
 
-Checks default to the *incremental* atomic-predicate path
+Checks run on the *incremental* atomic-predicate path
 (:class:`repro.analysis.ap.IncrementalPairChecker`): installers exposing
 ``shadow``/``main`` tables with listener support get a live mirror updated
 per rule event, so each sampled check costs O(current findings) instead of
@@ -29,18 +29,12 @@ class OnlineVerifier:
         installers: mapping of switch name to the installer to verify.
         every: verify a switch after this many of its completed actions
             (1 = after every action; higher values sample).
-        incremental: maintain per-installer incremental checkers where the
-            installer supports it (False forces full verification on every
-            sampled check — the pre-AP behavior, kept for differential
-            tests).
+
+    Installers with the listener seam get an incremental checker; the rest
+    are fully re-verified on every sampled check.
     """
 
-    def __init__(
-        self,
-        installers: Dict[str, object],
-        every: int = 25,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, installers: Dict[str, object], every: int = 25) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1: {every}")
         self.installers = dict(installers)
@@ -50,14 +44,13 @@ class OnlineVerifier:
         self.first_violation: Optional[dict] = None
         self._action_counts: Dict[str, int] = {}
         self._checkers: Dict[str, object] = {}
-        if incremental:
-            # Imported lazily for the same reason as verify_installer below.
-            from ..analysis.ap import attach_incremental_checker
+        # Imported lazily for the same reason as verify_installer below.
+        from ..analysis.ap import attach_incremental_checker
 
-            for name, installer in self.installers.items():
-                checker = attach_incremental_checker(installer)
-                if checker is not None:
-                    self._checkers[name] = checker
+        for name, installer in self.installers.items():
+            checker = attach_incremental_checker(installer)
+            if checker is not None:
+                self._checkers[name] = checker
 
     def attach(self, tracer: RecordingTracer) -> "OnlineVerifier":
         """Subscribe to ``tracer``; returns self for chaining."""

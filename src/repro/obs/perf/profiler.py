@@ -46,7 +46,7 @@ UNATTRIBUTED_LABELS = frozenset({"setup", "shutdown"})
 #: ``event:<kind>``; span labels are ``span:<name>``; loop marks are
 #: ``sim.<what>``.
 _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
-    ("event:epoch", "fairshare"),
+    ("event:epoch", "te-plan"),
     ("event:complete", "completion"),
     ("event:activate", "installer"),
     ("event:start", "installer"),

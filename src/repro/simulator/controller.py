@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..engine.clock import Clock
+from ..faults.injector import FaultInjector
 from ..obs.tracer import get_tracer
 from ..switchsim.agent import SwitchAgent
 from ..switchsim.channel import (
@@ -25,13 +26,15 @@ from ..switchsim.channel import (
     ResilientChannel,
 )
 from ..switchsim.installer import RuleInstaller
-from ..switchsim.messages import FlowMod, FlowModCommand
+from ..switchsim.messages import FlowMod
 from ..tcam.rule import Action, Rule
 from ..tcam.ternary import TernaryMatch
 from ..topology.routing import Path, path_switches
 from ..traffic.flows import FlowSpec
 
-InstallerFactory = Callable[[str], RuleInstaller]
+# ``factory(switch_name, injector)``: one fresh installer per switch, wired
+# to the run's shared fault injector.
+InstallerFactory = Callable[[str, FaultInjector], RuleInstaller]
 
 
 def flow_match(flow: FlowSpec) -> TernaryMatch:
@@ -86,7 +89,7 @@ class SdnController:
         graph: nx.Graph,
         installer_factory: InstallerFactory,
         control_rtt: float = 0.25e-3,
-        injector=None,
+        injector: Optional[FaultInjector] = None,
         channel: str = "naive",
         channel_config: Optional[ChannelConfig] = None,
         clock: Optional[Clock] = None,
@@ -95,12 +98,14 @@ class SdnController:
 
         Args:
             graph: the topology; nodes with kind != "host" get agents.
-            installer_factory: builds the per-switch installer (one fresh
-                instance per switch) — this selects the scheme under test.
+            installer_factory: ``factory(switch_name, injector)`` builds
+                the per-switch installer (one fresh instance per switch) —
+                this selects the scheme under test.
             control_rtt: controller<->switch round-trip in seconds
                 (data-center default 250 us; WAN experiments pass more).
-            injector: optional :class:`~repro.faults.injector.FaultInjector`
-                shared by every agent and channel of this controller.
+            injector: the :class:`~repro.faults.injector.FaultInjector`
+                shared by every installer, agent and channel of this
+                controller; None gives a null one.
             channel: ``"naive"`` (fire-and-forget, the seed behaviour) or
                 ``"resilient"`` (retry/backoff/dedup/breaker).
             channel_config: resilient-channel tunables; ignored for naive.
@@ -111,15 +116,15 @@ class SdnController:
             raise ValueError(f"control_rtt cannot be negative: {control_rtt}")
         if channel not in ("naive", "resilient"):
             raise ValueError(f"unknown channel kind: {channel!r}")
-        if channel == "resilient" and injector is None:
-            raise ValueError("the resilient channel requires a fault injector")
         self.graph = graph
         self.control_rtt = control_rtt
+        if injector is None:
+            injector = FaultInjector()
         self.injector = injector
         self.clock = clock if clock is not None else Clock()
         self.agents: Dict[str, SwitchAgent] = {
             node: SwitchAgent(
-                installer_factory(node),
+                installer_factory(node, injector),
                 name=node,
                 injector=injector,
                 clock=self.clock,
@@ -306,15 +311,6 @@ class SdnController:
     # ------------------------------------------------------------------
     # Aggregate telemetry
     # ------------------------------------------------------------------
-    def all_rits(self) -> List[float]:
-        """Response times of every ADD processed by any switch agent."""
-        rits: List[float] = []
-        for agent in self.agents.values():
-            for completed in agent.history():
-                if completed.flow_mod.command is FlowModCommand.ADD:
-                    rits.append(completed.response_time)
-        return rits
-
     def total_violations(self) -> int:
         """Guarantee violations across Hermes-managed switches (0 otherwise)."""
         total = 0

@@ -573,9 +573,10 @@ class FlowStore:
     # Views
     # ------------------------------------------------------------------
     def te_views(self):
-        """``(flows, paths, eligible_paths, rates)`` for one TE epoch:
-        plain ``flow_id -> value`` dicts in admission order, built once so
-        the planner's per-flow lookups are dict hits."""
+        """``(flows, eligible_paths, rates)`` for one TE epoch: plain
+        ``flow_id -> value`` dicts in admission order, built once so the
+        planner's per-flow lookups are dict hits.  ``eligible_paths`` holds
+        the flows with no activation pending."""
         rows = self.active_rows().tolist()
         flow_ids = self.flow_id[rows].tolist()
         specs = [self._specs[row] for row in rows]
@@ -588,7 +589,6 @@ class FlowStore:
         }
         return (
             dict(zip(flow_ids, specs)),
-            dict(zip(flow_ids, paths)),
             eligible,
             dict(zip(flow_ids, self.rate[rows].tolist())),
         )

@@ -101,10 +101,10 @@ class MetricsCollector:
     def record_active_peak(self, count: int) -> None:
         """Track the high-water mark of concurrently active flows.
 
-        The simulator reports its backend's live count (``len`` of the
-        columnar :class:`~repro.simulator.flowstate.FlowStore` or of the
-        object dict) after each admission; the collector keeps the max —
-        the concurrency the scaling curve reports against.
+        The simulator reports the live count (``len`` of its
+        :class:`~repro.simulator.flowstate.FlowStore`) after each
+        admission; the collector keeps the max — the concurrency the
+        scaling curve reports against.
         """
         if count > self._peak_active:
             self._peak_active = count

@@ -21,6 +21,10 @@ from ..topology.routing import Path, PathProvider, path_links_cached
 from ..traffic.flows import FlowSpec
 from .fairshare import Link
 
+# A move must reduce the flow's bottleneck utilization by at least this much
+# to be worth the FlowMods.
+IMPROVEMENT_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class TeAppConfig:
@@ -30,14 +34,11 @@ class TeAppConfig:
         epoch: reconfiguration period in seconds.
         utilization_threshold: links above this are congestion candidates.
         max_moves_per_epoch: cap on reroutes issued per epoch.
-        improvement_margin: a move must reduce the flow's bottleneck
-            utilization by at least this much to be worth the FlowMods.
     """
 
     epoch: float = 1.0
     utilization_threshold: float = 0.7
     max_moves_per_epoch: int = 16
-    improvement_margin: float = 0.05
 
     def __post_init__(self) -> None:
         if self.epoch <= 0:
@@ -117,20 +118,13 @@ class ProactiveTeApp:
                 flow = flows[flow_id]
                 rate = rates.get(flow_id, 0.0)
                 current_path = current_paths[flow_id]
-                current_cost = self._path_cost(
-                    current_path, working_utilization, exclude_rate=0.0, capacities=capacities
-                )
+                current_cost = self._path_cost(current_path, working_utilization)
                 best_path = None
-                best_cost = current_cost - self.config.improvement_margin
+                best_cost = current_cost - IMPROVEMENT_MARGIN
                 for candidate in self.provider.paths(flow.source, flow.destination):
                     if candidate == current_path:
                         continue
-                    cost = self._path_cost(
-                        candidate,
-                        working_utilization,
-                        exclude_rate=0.0,
-                        capacities=capacities,
-                    )
+                    cost = self._path_cost(candidate, working_utilization)
                     if cost < best_cost:
                         best_cost = cost
                         best_path = candidate
@@ -151,14 +145,9 @@ class ProactiveTeApp:
         return moves
 
     @staticmethod
-    def _path_cost(
-        path: Path,
-        utilization: Mapping[Link, float],
-        exclude_rate: float,
-        capacities: Mapping[Link, float],
-    ) -> float:
-        """A path's cost: the utilization of its hottest link."""
-        del exclude_rate  # the flow's own share is symmetric across options
+    def _path_cost(path: Path, utilization: Mapping[Link, float]) -> float:
+        """A path's cost: the utilization of its hottest link (the flow's
+        own share is symmetric across options, so it is not excluded)."""
         return max(
             (utilization.get(link, 0.0) for link in path_links_cached(path)), default=0.0
         )

@@ -47,10 +47,12 @@ class SimulationConfig:
         channel: controller→switch delivery, ``"naive"`` (fire-and-forget,
             the seed behaviour) or ``"resilient"`` (retry/backoff/dedup).
         channel_config: resilient-channel tunables (None = defaults).
-        fault_plan: optional :class:`~repro.faults.spec.FaultPlan` injected
-            into every agent, table, and channel of the run.  None (or an
-            all-zero plan with the naive channel) leaves results
-            byte-identical to a fault-free run.
+        fault_plan: the run's :class:`~repro.faults.spec.FaultPlan` — the
+            only way faults enter a simulated run.  The simulation builds
+            one :class:`~repro.faults.injector.FaultInjector` from it and
+            hands it to the controller, every channel and agent, and the
+            installer factory.  None (or an all-zero plan with the naive
+            channel) leaves results byte-identical to a fault-free run.
         fault_seed: seed of the fault injector's random stream.
     """
 
@@ -95,7 +97,6 @@ class Simulation:
         flows: Sequence[FlowSpec],
         installer_factory: InstallerFactory,
         config: Optional[SimulationConfig] = None,
-        injector: Optional[FaultInjector] = None,
         clock: Optional[Clock] = None,
     ) -> None:
         """Set up the run.
@@ -103,11 +104,10 @@ class Simulation:
         Args:
             graph: topology with ``capacity`` on edges and ``kind`` on nodes.
             flows: the workload, in any order.
-            installer_factory: per-switch TCAM-management scheme to test.
+            installer_factory: per-switch TCAM-management scheme to test,
+                called as ``factory(switch_name, injector)`` with the run's
+                one fault injector.
             config: run parameters (defaults are the data-center setup).
-            injector: explicit fault injector (e.g. one the installer
-                factory already shares); None builds one from
-                ``config.fault_plan``/``fault_seed`` when needed.
             clock: explicit kernel :class:`~repro.engine.clock.Clock` to
                 run on (share one to co-simulate with other components);
                 None creates a private timeline starting at zero.
@@ -115,20 +115,16 @@ class Simulation:
         self.config = config if config is not None else SimulationConfig()
         self.graph = graph
         self.provider = PathProvider(graph, k_paths=self.config.k_paths)
-        if injector is None and (
-            self.config.fault_plan is not None or self.config.channel == "resilient"
-        ):
-            injector = FaultInjector(
-                plan=self.config.fault_plan, seed=self.config.fault_seed
-            )
-        self.injector = injector
+        self.injector = FaultInjector(
+            plan=self.config.fault_plan, seed=self.config.fault_seed
+        )
         self.clock = clock if clock is not None else Clock()
         self._scheduler = EventScheduler(self.clock)
         self.controller = SdnController(
             graph,
             installer_factory,
             control_rtt=self.config.control_rtt,
-            injector=injector,
+            injector=self.injector,
             channel=self.config.channel,
             channel_config=self.config.channel_config,
             clock=self.clock,
@@ -164,8 +160,8 @@ class Simulation:
 
     @property
     def fault_log(self):
-        """The injector's fault log, or None on fault-free runs."""
-        return self.injector.log if self.injector is not None else None
+        """The run's fault log (empty on fault-free runs)."""
+        return self.injector.log
 
     def _record_outcome(self, outcome) -> None:
         """Fold one installation outcome into the metrics."""
@@ -255,9 +251,8 @@ class Simulation:
         """Run to completion (or ``max_time``); returns the metrics."""
         self._schedule(self.config.te.epoch, "epoch")
         self._loop()
-        if self.injector is not None:
-            for kind, count in self.injector.log.counts().items():
-                self.metrics.record_fault(kind, count)
+        for kind, count in self.injector.log.counts().items():
+            self.metrics.record_fault(kind, count)
         return self.metrics
 
     def _completion_is_live(self, event) -> bool:
@@ -400,7 +395,7 @@ class Simulation:
 
     def _run_te_epoch(self) -> None:
         if self._store:
-            flows, _paths, eligible_paths, rates = self._store.te_views()
+            flows, eligible_paths, rates = self._store.te_views()
             moves = [
                 move
                 for move in self.app.plan(

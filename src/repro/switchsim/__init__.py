@@ -9,7 +9,6 @@ from .channel import (
     NaiveChannel,
     ResilientChannel,
     SendOutcome,
-    SwitchUnreachable,
 )
 from .installer import DirectInstaller, RuleInstaller
 from .messages import FlowMod, FlowModCommand, FlowModResult
@@ -43,5 +42,4 @@ __all__ = [
     "RuleInstaller",
     "SendOutcome",
     "SwitchAgent",
-    "SwitchUnreachable",
 ]

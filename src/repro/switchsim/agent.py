@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..engine.clock import Clock, SerialResource
+from ..faults.injector import FaultInjector
 from ..obs.tracer import get_tracer
 from ..tcam.rule import Rule
 from .installer import RuleInstaller
@@ -22,9 +23,9 @@ from .messages import FlowMod, FlowModResult
 class AgentDownError(RuntimeError):
     """The switch agent is crashed/restarting; the submission was lost.
 
-    Raised only when a fault injector with an :class:`~repro.faults.spec.AgentCrash`
-    schedule is attached.  The queued message is gone (queue loss); the
-    TCAM content is intact (table survives restarts).
+    Raised only when the agent's fault plan carries an
+    :class:`~repro.faults.spec.AgentCrash` schedule.  The queued message is
+    gone (queue loss); the TCAM content is intact (table survives restarts).
     """
 
 
@@ -105,7 +106,7 @@ class SwitchAgent:
         self,
         installer: RuleInstaller,
         name: str = "switch",
-        injector=None,
+        injector: Optional[FaultInjector] = None,
         tracer=None,
         clock: Optional[Clock] = None,
     ) -> None:
@@ -114,9 +115,9 @@ class SwitchAgent:
         Args:
             installer: the TCAM-management scheme behind this agent.
             name: switch name (used by the fault injector to scope faults).
-            injector: optional :class:`~repro.faults.injector.FaultInjector`
-                supplying CPU-stall and crash decisions; None models a
-                perfectly reliable agent.
+            injector: the run's :class:`~repro.faults.injector.FaultInjector`,
+                supplying CPU-stall and crash decisions; None gives a null
+                one (a perfectly reliable agent).
             tracer: optional explicit :class:`~repro.obs.tracer.Tracer`;
                 None follows the process-global tracer (a no-op unless one
                 was installed).
@@ -127,7 +128,7 @@ class SwitchAgent:
         """
         self.installer = installer
         self.name = name
-        self.injector = injector
+        self.injector = injector if injector is not None else FaultInjector()
         self._tracer = tracer
         self.clock = clock if clock is not None else Clock()
         self.stats = AgentStats()
@@ -169,8 +170,6 @@ class SwitchAgent:
 
     def _check_faults(self, at_time: float) -> None:
         """Consult the injector: crash loss raises, stalls push busy_until."""
-        if self.injector is None:
-            return
         if self.injector.agent_down(self.name, at_time):
             self.stats.crash_losses += 1
             raise AgentDownError(f"{self.name}: agent down at t={at_time:.6f}")

@@ -4,8 +4,8 @@ The paper (and the seed reproduction) assume FlowMods always arrive.  This
 module makes the channel explicit so that assumption becomes a choice:
 
 * :class:`NaiveChannel` — the seed behaviour, verbatim: one delivery, no
-  retries, no randomness.  Runs through it are byte-identical to runs that
-  call :meth:`SwitchAgent.submit` directly.
+  retries, no randomness under a null fault plan.  Runs through it are
+  byte-identical to runs that call :meth:`SwitchAgent.submit` directly.
 * :class:`ResilientChannel` — timeout + capped exponential backoff with
   seeded jitter, xid-stamped FlowMods so agents can deduplicate
   redeliveries (exactly-once installs even when only the ack was lost),
@@ -145,11 +145,12 @@ class Channel:
 class NaiveChannel(Channel):
     """The seed's implicit channel: fire-and-forget, no retries.
 
-    Without an injector it is perfectly reliable and adds zero machinery —
-    byte-identical to calling the agent directly.  With one, FlowMods can
-    be dropped (lost forever — the naive scheme's defining weakness) or
+    Under a null fault plan it is perfectly reliable — byte-identical to
+    calling the agent directly.  Under FlowMod faults, FlowMods can be
+    dropped (lost forever — the naive scheme's defining weakness) or
     delayed; there is no redelivery, so duplicates cannot arise and a lost
-    ack is indistinguishable from success.
+    ack is indistinguishable from success.  ``injector`` defaults to a
+    null one.
     """
 
     def __init__(
@@ -160,7 +161,7 @@ class NaiveChannel(Channel):
         clock: Optional[Clock] = None,
     ) -> None:
         self.agent = agent
-        self.injector = injector
+        self.injector = injector if injector is not None else FaultInjector()
         self._tracer = tracer
         # Channels keep virtual time on the run's shared kernel clock; a
         # standalone channel inherits its agent's timeline.
@@ -174,8 +175,6 @@ class NaiveChannel(Channel):
 
     def _verdict_delay(self, at_time: float) -> Optional[float]:
         """Extra delivery delay, or None when the FlowMod is dropped."""
-        if self.injector is None:
-            return 0.0
         verdict = self.injector.flowmod_verdict(
             now=at_time, target=self.agent.name, xid=None
         )
@@ -250,10 +249,6 @@ class NaiveChannel(Channel):
             attempts=1,
         )
         return BatchSendOutcome(completed=completed, attempts=1, ack_time=None)
-
-
-class SwitchUnreachable(RuntimeError):
-    """Raised by strict callers when the circuit breaker is open."""
 
 
 class ResilientChannel(Channel):

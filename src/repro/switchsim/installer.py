@@ -11,7 +11,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..faults.table import FaultyTable, TcamWriteError
+from ..faults.injector import FaultInjector
+from ..faults.table import TcamWriteError
 from ..tcam.rule import Rule
 from ..tcam.table import TcamTable
 from ..tcam.timing import EmpiricalTimingModel, InsertOrder
@@ -131,15 +132,15 @@ class DirectInstaller(RuleInstaller):
             capacity: flow-table size; defaults to the model's capacity.
             rng: optional generator enabling latency noise.
             order: priority ordering assumed for latency scaling.
-            injector: optional :class:`~repro.faults.injector.FaultInjector`;
-                when given, writes route through a
-                :class:`~repro.faults.table.FaultyTable` and may fail or
-                silently no-op.
+            injector: the run's :class:`~repro.faults.injector.FaultInjector`
+                (None: a null one).  Under TCAM write faults the table is
+                a :class:`~repro.faults.table.FaultyTable` and writes may
+                fail or silently no-op.
         """
-        self.table = TcamTable(timing, capacity=capacity, name="monolithic", rng=rng)
-        self.injector = injector
-        if injector is not None:
-            self.table = FaultyTable(self.table, injector)
+        self.injector = injector if injector is not None else FaultInjector()
+        self.table = self.injector.wrap_table(
+            TcamTable(timing, capacity=capacity, name="monolithic", rng=rng)
+        )
         self.order = order
 
     def apply(self, flow_mod: FlowMod) -> FlowModResult:
@@ -164,17 +165,8 @@ class DirectInstaller(RuleInstaller):
         # MODIFY: in-place unless the priority changes, in which case the
         # paper converts it into delete + insert (Section 4.1).
         if flow_mod.changes_priority:
-            old = self.table.get(flow_mod.rule_id)
+            replacement = flow_mod.replacement_for(self.table.get(flow_mod.rule_id))
             delete_latency = self.table.delete(flow_mod.rule_id).latency
-            replacement = Rule(
-                match=flow_mod.new_match if flow_mod.new_match is not None else old.match,
-                priority=flow_mod.new_priority,
-                action=(
-                    flow_mod.new_action if flow_mod.new_action is not None else old.action
-                ),
-                rule_id=old.rule_id,
-                origin_id=old.origin_id,
-            )
             insert_result = self.table.insert(replacement, order=self.order)
             return FlowModResult(
                 latency=delete_latency + insert_result.latency,

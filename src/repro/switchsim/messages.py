@@ -87,6 +87,19 @@ class FlowMod:
             new_priority=priority,
         )
 
+    def replacement_for(self, old: Rule) -> Rule:
+        """The rule a MODIFY turns ``old`` into: each field this message
+        sets replaces ``old``'s, the rest carry over.  The replacement
+        keeps ``old``'s ``rule_id`` and ``origin_id`` (it is the same
+        logical rule, and no fresh id is drawn from the global counter)."""
+        return Rule(
+            match=self.new_match if self.new_match is not None else old.match,
+            priority=self.new_priority if self.new_priority is not None else old.priority,
+            action=self.new_action if self.new_action is not None else old.action,
+            rule_id=old.rule_id,
+            origin_id=old.origin_id,
+        )
+
     @property
     def changes_priority(self) -> bool:
         """True for the MODIFY variant the TCAM cannot do in place."""

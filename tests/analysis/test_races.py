@@ -235,7 +235,7 @@ import numpy as np
 from repro.analysis.races import RaceSanitizer
 from repro.baselines import make_installer
 from repro.experiments.common import default_hermes_config
-from repro.faults import FaultInjector, FaultPlan, FlowModFault
+from repro.faults import FaultPlan, FlowModFault
 from repro.simulator import Simulation, SimulationConfig, TeAppConfig
 from repro.switchsim import ChannelConfig
 from repro.tcam import get_switch_model
@@ -250,7 +250,6 @@ flows = flows_of(
     )
 )
 plan = FaultPlan(flowmod=FlowModFault(drop=0.1, ack_loss_fraction=0.3))
-injector = FaultInjector(plan=plan, seed=13)
 config = SimulationConfig(
     te=TeAppConfig(epoch=0.25),
     baseline_occupancy=200,
@@ -262,10 +261,10 @@ config = SimulationConfig(
 )
 timing = get_switch_model("pica8-p3290")
 hermes_config = default_hermes_config()
-factory = lambda name: make_installer(
+factory = lambda name, injector: make_installer(
     "hermes", timing, hermes_config=hermes_config, injector=injector
 )
-simulation = Simulation(graph, flows, factory, config, injector=injector)
+simulation = Simulation(graph, flows, factory, config)
 races = -1
 if sys.argv[1] == "on":
     sanitizer = RaceSanitizer()

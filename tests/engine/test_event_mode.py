@@ -68,7 +68,7 @@ configs = {
     ),
 }
 timing = get_switch_model("pica8-p3290")
-factory = lambda name: make_installer("naive", timing)
+factory = lambda name, injector: make_installer("naive", timing, injector=injector)
 metrics = Simulation(graph, flows, factory, configs[sys.argv[1]]).run()
 payload = json.dumps(
     [metrics.rits(), metrics.fcts(), sorted(metrics.jcts().items())]
@@ -102,7 +102,9 @@ class TestScanEventEquality:
         # complete every flow exactly once.
         graph, flows = _workload()
         timing = get_switch_model("pica8-p3290")
-        factory = lambda name: make_installer("naive", timing)
+        factory = lambda name, injector: make_installer(
+            "naive", timing, injector=injector
+        )
         simulation = Simulation(graph, flows, factory, _no_te_config())
         metrics = simulation.run()
         assert len(metrics.fcts()) == len(flows)
@@ -147,8 +149,8 @@ config = SimulationConfig(
 )
 timing = get_switch_model("pica8-p3290")
 hermes_config = default_hermes_config()
-factory = lambda name: make_installer(
-    "hermes", timing, hermes_config=hermes_config
+factory = lambda name, injector: make_installer(
+    "hermes", timing, hermes_config=hermes_config, injector=injector
 )
 metrics = Simulation(graph, flows, factory, config).run()
 payload = json.dumps(

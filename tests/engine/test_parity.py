@@ -94,7 +94,7 @@ def fig08():
 def chaos():
     from repro.baselines import make_installer
     from repro.experiments.common import default_hermes_config
-    from repro.faults import FaultInjector, FaultPlan, FlowModFault
+    from repro.faults import FaultPlan, FlowModFault
     from repro.obs import RecordingTracer, trace_lines, use_tracer
     from repro.simulator import Simulation, SimulationConfig, TeAppConfig
     from repro.switchsim import ChannelConfig
@@ -110,7 +110,6 @@ def chaos():
         )
     )
     plan = FaultPlan(flowmod=FlowModFault(drop=0.1, ack_loss_fraction=0.3))
-    injector = FaultInjector(plan=plan, seed=13)
     config = SimulationConfig(
         te=TeAppConfig(epoch=0.25),
         baseline_occupancy=200,
@@ -122,14 +121,12 @@ def chaos():
     )
     timing = get_switch_model("pica8-p3290")
     hermes_config = default_hermes_config()
-    factory = lambda name: make_installer(
+    factory = lambda name, injector: make_installer(
         "hermes", timing, hermes_config=hermes_config, injector=injector
     )
     tracer = RecordingTracer(meta={"scenario": "engine-parity"})
     with use_tracer(tracer):
-        simulation = Simulation(
-            graph, flows, factory, config, injector=injector
-        )
+        simulation = Simulation(graph, flows, factory, config)
         metrics = simulation.run()
     trace_payload = "\n".join(trace_lines(tracer)).encode()
     return _digest(metrics), hashlib.sha256(trace_payload).hexdigest()

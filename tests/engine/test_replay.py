@@ -51,8 +51,8 @@ def _record_run(tmp_path):
     )
     timing = get_switch_model("pica8-p3290")
     hermes_config = default_hermes_config()
-    factory = lambda name: make_installer(
-        "hermes", timing, hermes_config=hermes_config
+    factory = lambda name, injector: make_installer(
+        "hermes", timing, hermes_config=hermes_config, injector=injector
     )
     tracer = RecordingTracer(meta={"scenario": "replay-test"})
     with use_tracer(tracer):

@@ -27,6 +27,7 @@ from repro.experiments.common import (
     isp_workload,
     replay_trace,
 )
+from repro.faults import FaultInjector
 from repro.traffic import MicrobenchConfig, generate_trace, seed_rules
 
 
@@ -137,9 +138,10 @@ class TestCommonHelpers:
             {"edge": "dell-8132f", "core": "pica8-p3290"},
             default_switch="hp-5406zl",
         )
-        assert factory("edge-0-1").table.timing.name == "Dell 8132F"
-        assert factory("core-3").table.timing.name == "Pica8 P-3290"
-        assert factory("agg-1-0").table.timing.name == "HP 5406zl"
+        injector = FaultInjector()
+        assert factory("edge-0-1", injector).table.timing.name == "Dell 8132F"
+        assert factory("core-3", injector).table.timing.name == "Pica8 P-3290"
+        assert factory("agg-1-0", injector).table.timing.name == "HP 5406zl"
 
     def test_heterogeneous_factory_in_simulation(self):
         import numpy as np
@@ -173,8 +175,11 @@ class TestCommonHelpers:
 
     def test_installer_factory_fresh_instances(self):
         factory = installer_factory("naive", "pica8-p3290", seed=1)
-        first, second = factory("s1"), factory("s2")
+        injector = FaultInjector()
+        first, second = factory("s1", injector), factory("s2", injector)
         assert first is not second
+        # The factory wires each installer to the run's injector.
+        assert first.injector is injector and second.injector is injector
 
     def test_replay_trace_without_batching(self):
         trace_config = MicrobenchConfig(arrival_rate=100, duration=0.2)

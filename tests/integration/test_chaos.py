@@ -60,6 +60,50 @@ class TestChaosCells:
         assert resilient[LOST] == 0 and naive[LOST] == 0
 
 
+class TestSingleInjectorPath:
+    def test_config_only_tcam_plan_reaches_the_installers(self):
+        # The plan is given once, in SimulationConfig; the factory only
+        # receives the simulation's injector.  Every Hermes slice write
+        # must then see the silent-write faults.
+        import numpy as np
+
+        from repro.experiments.common import (
+            default_hermes_config,
+            installer_factory,
+        )
+        from repro.faults import FaultPlan, TcamWriteFault
+        from repro.simulator import Simulation, SimulationConfig, TeAppConfig
+        from repro.topology import FatTreeSpec, build_fat_tree, hosts
+        from repro.traffic import flows_of, generate_jobs
+
+        graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
+        flows = flows_of(
+            generate_jobs(
+                hosts(graph), job_count=12, arrival_rate=6.0,
+                rng=np.random.default_rng(13),
+            )
+        )
+        config = SimulationConfig(
+            te=TeAppConfig(epoch=0.25),
+            baseline_occupancy=200,
+            max_time=8.0,
+            fault_plan=FaultPlan(tcam=TcamWriteFault(silent=0.5)),
+            fault_seed=13,
+        )
+        factory = installer_factory(
+            "hermes", "pica8-p3290", default_hermes_config()
+        )
+        simulation = Simulation(graph, flows, factory, config)
+        metrics = simulation.run()
+        assert metrics.rits()
+        silent = simulation.fault_log.count("tcam-write-silent")
+        assert silent > 0
+        assert metrics.fault_counts()["tcam-write-silent"] == silent
+        for agent in simulation.controller.agents.values():
+            assert agent.injector is simulation.injector
+            assert agent.installer.injector is simulation.injector
+
+
 _DIGEST_SCRIPT = r"""
 import hashlib, json, sys
 import numpy as np
@@ -86,21 +130,22 @@ if mode == "plain":
     config = SimulationConfig(
         te=TeAppConfig(epoch=0.25), baseline_occupancy=200, max_time=3.0
     )
-    factory = lambda name: make_installer(scheme, timing, **kwargs)
-    simulation = Simulation(graph, flows, factory, config)
-else:  # null-plan injector + naive channel: must be byte-identical
-    from repro.faults import FaultInjector, FaultPlan
+    # Standalone installers: each builds its own null injector.
+    factory = lambda name, injector: make_installer(scheme, timing, **kwargs)
+else:  # explicit null plan, shared injector: must be byte-identical
+    from repro.faults import FaultPlan
 
-    plan = FaultPlan()
-    injector = FaultInjector(plan=plan, seed=7)
     config = SimulationConfig(
         te=TeAppConfig(epoch=0.25),
         baseline_occupancy=200,
         max_time=3.0,
-        fault_plan=plan,
+        fault_plan=FaultPlan(),
+        fault_seed=7,
     )
-    factory = lambda name: make_installer(scheme, timing, injector=injector, **kwargs)
-    simulation = Simulation(graph, flows, factory, config, injector=injector)
+    factory = lambda name, injector: make_installer(
+        scheme, timing, injector=injector, **kwargs
+    )
+simulation = Simulation(graph, flows, factory, config)
 metrics = simulation.run()
 payload = json.dumps(
     [metrics.rits(), metrics.fcts(), sorted(metrics.jcts().items())]

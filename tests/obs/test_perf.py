@@ -59,7 +59,8 @@ CHAOS_TRACE_DIGEST = (
 
 class TestSubsystemOf:
     def test_dispatch_labels(self):
-        assert subsystem_of("event:epoch") == "fairshare"
+        # An epoch dispatch runs ProactiveTeApp.plan: the TE planner.
+        assert subsystem_of("event:epoch") == "te-plan"
         assert subsystem_of("event:complete") == "completion"
         assert subsystem_of("event:flowmod-arrive") == "channel"
         assert subsystem_of("event:activate") == "installer"
@@ -143,7 +144,7 @@ class TestProfilerSegments:
             profiler.on_dispatch(_FakeEvent("epoch"))
         report = profiler.finish()
         lines = report.collapsed()
-        assert any(line.startswith("fairshare;event:epoch ") for line in lines)
+        assert any(line.startswith("te-plan;event:epoch ") for line in lines)
         for line in lines:
             stack, weight = line.rsplit(" ", 1)
             assert int(weight) > 0
@@ -154,7 +155,7 @@ class TestProfilerSegments:
         profiler.on_dispatch(_FakeEvent("epoch"))
         text = profiler.finish().render()
         assert "attributed" in text
-        assert "fairshare" in text
+        assert "te-plan" in text
 
 
 class TestWatchTracer:

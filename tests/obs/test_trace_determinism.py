@@ -21,7 +21,7 @@ import hashlib, json, sys
 import numpy as np
 from repro.baselines import make_installer
 from repro.experiments.common import default_hermes_config
-from repro.faults import FaultInjector, FaultPlan, FlowModFault
+from repro.faults import FaultPlan, FlowModFault
 from repro.obs import RecordingTracer, trace_lines, use_tracer
 from repro.simulator import Simulation, SimulationConfig, TeAppConfig
 from repro.switchsim import ChannelConfig
@@ -37,7 +37,6 @@ flows = flows_of(
     )
 )
 plan = FaultPlan(flowmod=FlowModFault(drop=0.1, ack_loss_fraction=0.3))
-injector = FaultInjector(plan=plan, seed=13)
 config = SimulationConfig(
     te=TeAppConfig(epoch=0.25),
     baseline_occupancy=200,
@@ -49,18 +48,18 @@ config = SimulationConfig(
 )
 timing = get_switch_model("pica8-p3290")
 hermes_config = default_hermes_config()
-factory = lambda name: make_installer(
+factory = lambda name, injector: make_installer(
     "hermes", timing, hermes_config=hermes_config, injector=injector
 )
 
 if mode == "untraced":
-    simulation = Simulation(graph, flows, factory, config, injector=injector)
+    simulation = Simulation(graph, flows, factory, config)
     metrics = simulation.run()
     tracer = None
 else:
     tracer = RecordingTracer(meta={"scenario": "determinism"})
     with use_tracer(tracer):
-        simulation = Simulation(graph, flows, factory, config, injector=injector)
+        simulation = Simulation(graph, flows, factory, config)
         metrics = simulation.run()
 
 result_payload = json.dumps(

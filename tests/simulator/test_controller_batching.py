@@ -17,7 +17,7 @@ def tree():
 def make_controller(tree, scheme="naive"):
     return SdnController(
         tree,
-        lambda name: make_installer(scheme, pica8_p3290()),
+        lambda name, injector: make_installer(scheme, pica8_p3290(), injector=injector),
         control_rtt=1e-3,
     )
 

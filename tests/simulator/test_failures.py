@@ -43,7 +43,9 @@ class TestFailureInjection:
     def test_flow_survives_failure_and_completes(self, tree):
         flow = long_flow(tree)
         link = first_path_core_link(tree, flow)
-        factory = lambda name: make_installer("naive", ideal_switch())
+        factory = lambda name, injector: make_installer(
+            "naive", ideal_switch(), injector=injector
+        )
         sim = Simulation(tree, [flow], factory, failing_config(link))
         metrics = sim.run()
         assert len(metrics.fcts()) == 1
@@ -52,7 +54,9 @@ class TestFailureInjection:
     def test_blackhole_time_recorded(self, tree):
         flow = long_flow(tree)
         link = first_path_core_link(tree, flow)
-        factory = lambda name: make_installer("naive", pica8_p3290())
+        factory = lambda name, injector: make_installer(
+            "naive", pica8_p3290(), injector=injector
+        )
         sim = Simulation(tree, [flow], factory, failing_config(link))
         sim.run()
         assert sim.blackhole_time > 0
@@ -62,11 +66,21 @@ class TestFailureInjection:
         link = first_path_core_link(tree, flow)
         config = failing_config(link)
         naive_sim = Simulation(
-            tree, [flow], lambda n: make_installer("naive", pica8_p3290()), config
+            tree,
+            [flow],
+            lambda n, injector: make_installer(
+                "naive", pica8_p3290(), injector=injector
+            ),
+            config,
         )
         naive_sim.run()
         hermes_sim = Simulation(
-            tree, [flow], lambda n: make_installer("hermes", pica8_p3290()), config
+            tree,
+            [flow],
+            lambda n, injector: make_installer(
+                "hermes", pica8_p3290(), injector=injector
+            ),
+            config,
         )
         hermes_sim.run()
         assert hermes_sim.blackhole_time < naive_sim.blackhole_time
@@ -80,7 +94,9 @@ class TestFailureInjection:
             size=1e6,
             start_time=1.0,  # after the failure
         )
-        factory = lambda name: make_installer("naive", ideal_switch())
+        factory = lambda name, injector: make_installer(
+            "naive", ideal_switch(), injector=injector
+        )
         sim = Simulation(tree, [flow, late], factory, failing_config(link))
         sim.run()
         # Everyone completed despite the dead link.
@@ -94,7 +110,9 @@ class TestFailureInjection:
             start_time=1.0,
         )
         link = first_path_core_link(tree, flow)
-        factory = lambda name: make_installer("naive", ideal_switch())
+        factory = lambda name, injector: make_installer(
+            "naive", ideal_switch(), injector=injector
+        )
         sim = Simulation(
             tree, [flow], factory, failing_config(link, at_time=0.1)
         )
@@ -106,14 +124,18 @@ class TestFailureInjection:
         # A misspelt node pair would otherwise add a phantom zero-capacity
         # link and fail nothing.
         flow = long_flow(tree)
-        factory = lambda name: make_installer("naive", ideal_switch())
+        factory = lambda name, injector: make_installer(
+            "naive", ideal_switch(), injector=injector
+        )
         with pytest.raises(ValueError, match="not a link of the topology"):
             Simulation(tree, [flow], factory, failing_config(("agg0", "core0")))
 
     def test_link_failure_accepts_either_endpoint_order(self, tree):
         flow = long_flow(tree)
         a, b = first_path_core_link(tree, flow)
-        factory = lambda name: make_installer("naive", pica8_p3290())
+        factory = lambda name, injector: make_installer(
+            "naive", pica8_p3290(), injector=injector
+        )
         sim = Simulation(tree, [flow], factory, failing_config((b, a)))
         sim.run()
         assert sim.blackhole_time > 0

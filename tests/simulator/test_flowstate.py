@@ -279,11 +279,11 @@ class TestFlowStore:
         store.set_pending_activation(1, True)
         store.remove(2)
         store.recompute()
-        flows, paths, eligible, rates = store.te_views()
-        for view in (flows, paths, eligible, rates):
+        flows, eligible, rates = store.te_views()
+        for view in (flows, eligible, rates):
             assert type(view) is dict
-        assert list(flows) == list(paths) == list(rates) == [3, 1]
-        assert paths == {3: ("a", "b"), 1: ("b", "c")}
+        assert list(flows) == list(rates) == [3, 1]
+        # Flow 1 has an activation pending, so only flow 3 may move.
         assert eligible == {3: ("a", "b")}
         assert rates == {3: 8.0, 1: 4.0}
         assert flows[1].size == 6.0

@@ -35,7 +35,7 @@ def run(graph, flows, scheme, switch, mode):
         max_time=1e4,
         routing_mode=mode,
     )
-    factory = lambda name: make_installer(scheme, switch())
+    factory = lambda name, injector: make_installer(scheme, switch(), injector=injector)
     return Simulation(graph, list(flows), factory, config).run()
 
 
@@ -77,7 +77,9 @@ class TestReactiveMode:
             max_time=1e4,
             routing_mode="reactive",
         )
-        factory = lambda name: make_installer("naive", ideal_switch())
+        factory = lambda name, injector: make_installer(
+            "naive", ideal_switch(), injector=injector
+        )
         simulation = Simulation(tree, flows, factory, config)
         simulation.run()
         for flow in flows:

@@ -26,12 +26,12 @@ def small_tree():
     return build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
 
 
-def naive_factory(switch_name):
-    return make_installer("naive", pica8_p3290())
+def naive_factory(switch_name, injector):
+    return make_installer("naive", pica8_p3290(), injector=injector)
 
 
-def ideal_factory(switch_name):
-    return make_installer("naive", ideal_switch())
+def ideal_factory(switch_name, injector):
+    return make_installer("naive", ideal_switch(), injector=injector)
 
 
 class TestMetricsCollector:
@@ -233,7 +233,9 @@ class TestEndToEnd:
             max_time=1e4,
             initial_path_policy="static",
         )
-        hermes_factory = lambda sw: make_installer("hermes", pica8_p3290())
+        hermes_factory = lambda sw, injector: make_installer(
+            "hermes", pica8_p3290(), injector=injector
+        )
         metrics = Simulation(small_tree, flows, hermes_factory, config).run()
         rits = metrics.rits()
         assert rits, "the TE app should have issued reconfigurations"
