@@ -24,6 +24,18 @@ CHAOS_RESULT_DIGEST = (
 CHAOS_TRACE_DIGEST = (
     "f9af0d1c220df4e67fdd252413ce0f9e8cc0b32694975bedfd5256ca55adaddb"
 )
+# Faulted delivery: the chaos pin above sends no FlowMods, so these pin the
+# controller -> channel -> agent path itself (retries, drops, lost acks,
+# duplicates and lost installs), captured before the delivery path was
+# unified into one batch-of-one path.
+DELIVERY_DIGESTS = {
+    ("hermes", "resilient"): (
+        "a79cc099fb83abb8aa519841b33a9afc874d84f0d7aec6b3587b5a95e9136d60"
+    ),
+    ("naive", "naive"): (
+        "e816d88d0109b0999d4ca6e131c7796374b283d1d2683b1d52a603e1e3178534"
+    ),
+}
 
 _SCENARIO_SCRIPT = r"""
 import hashlib
@@ -132,8 +144,34 @@ def chaos():
     return _digest(metrics), hashlib.sha256(trace_payload).hexdigest()
 
 
+def delivery(scheme, channel):
+    from repro.experiments.chaos import ChaosConfig, build_simulation
+
+    simulation = build_simulation(
+        scheme, channel, 0.1, ChaosConfig(job_count=4, max_time=3.0, seed=11)
+    )
+    metrics = simulation.run()
+    counts = sorted(simulation.fault_log.counts().items())
+    payload = json.dumps(
+        [
+            metrics.rits(),
+            metrics.fcts(),
+            sorted(metrics.jcts().items()),
+            metrics.undelivered_total(),
+            counts,
+        ]
+    ).encode()
+    summary = {
+        "rits": len(metrics.rits()),
+        "undelivered": metrics.undelivered_total(),
+        "faults": dict(counts),
+    }
+    return hashlib.sha256(payload).hexdigest(), summary
+
+
 name = sys.argv[1]
-result, trace = {"fig01": fig01, "fig08": fig08, "chaos": chaos}[name]()
+scenarios = {"fig01": fig01, "fig08": fig08, "chaos": chaos, "delivery": delivery}
+result, trace = scenarios[name](*sys.argv[2:])
 print(json.dumps({"result": result, "trace": trace}))
 """
 
@@ -185,8 +223,8 @@ def _run_script(script: str, *args: str) -> str:
     return result.stdout.strip()
 
 
-def _scenario_digests(name: str) -> dict:
-    return json.loads(_run_script(_SCENARIO_SCRIPT, name))
+def _scenario_digests(name: str, *args: str) -> dict:
+    return json.loads(_run_script(_SCENARIO_SCRIPT, name, *args))
 
 
 class TestPinnedDigests:
@@ -207,6 +245,31 @@ class TestPinnedDigests:
         # Two fresh interpreters, identical digests — the trace digest
         # covers every span/event/sample the run emitted.
         assert _scenario_digests("chaos") == _scenario_digests("chaos")
+
+
+class TestFaultedDeliveryPin:
+    """Controller -> channel -> agent under FlowMod faults, both channels."""
+
+    # The scenario's second slot carries the run's counts, not a trace.
+    def test_resilient_hermes_cell_byte_identical(self):
+        digests = _scenario_digests("delivery", "hermes", "resilient")
+        assert digests["trace"] == {
+            "rits": 30,
+            "undelivered": 0,
+            "faults": {
+                "flowmod-ack-loss": 6,
+                "flowmod-drop": 5,
+                "flowmod-duplicate": 1,
+                "retry": 11,
+            },
+        }
+        assert digests["result"] == DELIVERY_DIGESTS[("hermes", "resilient")]
+
+    def test_naive_raw_cell_byte_identical(self):
+        digests = _scenario_digests("delivery", "naive", "naive")
+        assert digests["trace"]["rits"] == 28
+        assert digests["trace"]["undelivered"] == 2
+        assert digests["result"] == DELIVERY_DIGESTS[("naive", "naive")]
 
 
 class TestGoldenEventOrder:
