@@ -24,7 +24,10 @@ import time
 import numpy as np
 
 from repro.analysis.ap import engines_agree
-from repro.analysis.verifier import verify_partition
+from repro.analysis.verifier import (
+    symbolic_verify_partition,
+    verify_partition,
+)
 from repro.obs.perf.bench import write_bench_artifact
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
@@ -75,14 +78,14 @@ def synthetic_fib(count, seed=7):
     return shadow, rules[shadow_count:]
 
 
-def _timed(engine, shadow, main, reference):
+def _timed(verify, shadow, main, reference):
     """Time the *full* verification: errors, warnings, and the semantic
     diff against a reference — the shape the CLI runs on captured
     snapshots, and where the symbolic engine's region algebra goes
     quadratic."""
     start = time.perf_counter()
-    violations = verify_partition(
-        shadow, main, reference=reference, include_warnings=True, engine=engine
+    violations = verify(
+        shadow, main, reference=reference, include_warnings=True
     )
     return time.perf_counter() - start, violations
 
@@ -93,7 +96,7 @@ def run_sweep(sizes, budget):
     for size in sizes:
         shadow, main = synthetic_fib(size)
         reference = shadow + main  # the pair's own lookup order
-        ap_seconds, ap_violations = _timed("ap", shadow, main, reference)
+        ap_seconds, ap_violations = _timed(verify_partition, shadow, main, reference)
         row = {
             "rules": size,
             "ap_seconds": ap_seconds,
@@ -109,7 +112,7 @@ def run_sweep(sizes, budget):
         )
         if projected <= budget:
             symbolic_seconds, symbolic_violations = _timed(
-                "symbolic", shadow, main, reference
+                symbolic_verify_partition, shadow, main, reference
             )
             assert engines_agree(ap_violations, symbolic_violations)
             row["symbolic_seconds"] = symbolic_seconds

@@ -57,13 +57,13 @@ from .stats import (
 )
 from .tables import ExperimentResult, format_cell, render_table
 from .verifier import (
-    ENGINES,
     find_duplicate_entries,
     find_priority_inversions,
     find_shadowed_rules,
     find_unreachable_rules,
     lookup_order,
     semantic_diff,
+    symbolic_verify_partition,
     verify_installer,
     verify_moveplan,
     verify_partition,
@@ -72,7 +72,6 @@ from .violations import Violation
 
 __all__ = [
     "AMBIGUOUS_TIER",
-    "ENGINES",
     "SCHEDULE_ORDER_RACE",
     "SHARED_STATE_MUTATION",
     "AtomIndex",

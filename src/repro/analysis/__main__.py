@@ -16,10 +16,10 @@ exposing ``run(sanitizer)`` — under the dynamic race sanitizer and
 reports every schedule-order race with its witness pair; exit 1 when any
 race is found.
 
-``verify`` and ``scenario`` accept ``--engine {ap,symbolic}`` (default
-``ap``, the atomic-predicate engine) and ``--cross-check``, which runs
-*both* engines and fails with exit 2 if their findings disagree — the
-differential harness for the engines themselves.  With two snapshot
+``verify`` and ``scenario`` check with the atomic-predicate engine;
+``--cross-check`` also runs the symbolic reference oracle and fails with
+exit 2 if their findings disagree — the differential harness for the
+engine itself.  With two snapshot
 arguments, ``verify`` treats them as captures of the *same* switch at two
 instants: it verifies both, diffs them by rule id, and when the later one
 is corrupt but the earlier clean, names the changed rules implicated in
@@ -52,7 +52,7 @@ from .snapshot import (
     read_snapshot,
     snapshot_tables,
 )
-from .verifier import ENGINES, verify_partition
+from .verifier import symbolic_verify_partition, verify_partition
 
 CORRUPTIONS = ("swap-priority", "drop-rule", "duplicate")
 
@@ -157,48 +157,33 @@ def _report(violations, stream=sys.stdout) -> int:
     return 1 if errors else 0
 
 
-def _verify_tables(snapshot, include_warnings: bool, engine: str, cross_check: bool):
+def _verify_tables(snapshot, include_warnings: bool, cross_check: bool):
     """Verify one snapshot; returns ``(violations, engines_disagree)``."""
-    violations = verify_partition(
-        snapshot.shadow,
-        snapshot.main,
-        reference=snapshot.reference,
-        include_warnings=include_warnings,
-        engine=engine,
-    )
+    tables = (snapshot.shadow, snapshot.main)
+    options = dict(reference=snapshot.reference, include_warnings=include_warnings)
+    violations = verify_partition(*tables, **options)
     if not cross_check:
         return violations, False
-    other_engine = "symbolic" if engine == "ap" else "ap"
-    other = verify_partition(
-        snapshot.shadow,
-        snapshot.main,
-        reference=snapshot.reference,
-        include_warnings=include_warnings,
-        engine=other_engine,
-    )
-    mine, theirs = violation_fingerprint(violations), violation_fingerprint(other)
+    oracle = symbolic_verify_partition(*tables, **options)
+    mine, theirs = violation_fingerprint(violations), violation_fingerprint(oracle)
     if mine != theirs:
         print(
-            f"engine disagreement: {engine} found {mine} "
-            f"but {other_engine} found {theirs}",
+            f"engine disagreement: ap found {mine} but symbolic found {theirs}",
             file=sys.stderr,
         )
         return violations, True
-    print(
-        f"cross-check: {engine} and {other_engine} agree "
-        f"on {len(violations)} finding(s)"
-    )
+    print(f"cross-check: ap and symbolic agree on {len(violations)} finding(s)")
     return violations, False
 
 
 def _verify_over_time(
-    paths, snapshots, include_warnings: bool, engine: str, cross_check: bool
+    paths, snapshots, include_warnings: bool, cross_check: bool
 ) -> int:
     """Two captures of the same switch: verify both, localize the break."""
     results = []
     for path, snapshot in zip(paths, snapshots):
         violations, disagree = _verify_tables(
-            snapshot, include_warnings, engine, cross_check
+            snapshot, include_warnings, cross_check
         )
         if disagree:
             return 2
@@ -266,15 +251,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also run the unreachable/shadowed-rule analyses",
     )
     verify_cmd.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="ap",
-        help="decision procedure (default: ap, the atomic-predicate engine)",
-    )
-    verify_cmd.add_argument(
         "--cross-check",
         action="store_true",
-        help="run both engines and exit 2 if their findings disagree",
+        help="also run the symbolic oracle; exit 2 if the findings disagree",
     )
 
     lint_cmd = commands.add_parser(
@@ -325,15 +304,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="seed a deliberate corruption before verifying (must fail)",
     )
     scenario_cmd.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="ap",
-        help="decision procedure (default: ap, the atomic-predicate engine)",
-    )
-    scenario_cmd.add_argument(
         "--cross-check",
         action="store_true",
-        help="run both engines and exit 2 if their findings disagree",
+        help="also run the symbolic oracle; exit 2 if the findings disagree",
     )
 
     args = parser.parse_args(argv)
@@ -399,11 +372,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.snapshots,
                 snapshots,
                 args.include_warnings,
-                args.engine,
                 args.cross_check,
             )
         violations, disagree = _verify_tables(
-            snapshots[0], args.include_warnings, args.engine, args.cross_check
+            snapshots[0], args.include_warnings, args.cross_check
         )
         if disagree:
             return 2
@@ -424,8 +396,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         + (f" (corrupted: {args.corrupt})" if args.corrupt else "")
     )
     violations, disagree = _verify_tables(
-        snapshot, include_warnings=False, engine=args.engine,
-        cross_check=args.cross_check,
+        snapshot, include_warnings=False, cross_check=args.cross_check
     )
     if disagree:
         return 2

@@ -297,13 +297,13 @@ class RaceSanitizer:
 
     def watch_channel(self, channel, key: str) -> None:
         """Record sends through ``channel`` as writes under ``key``."""
-        self._wrap_writes(channel, key, ("send", "send_batch"))
+        self._wrap_writes(channel, key, ("send",))
 
     def watch_installer(self, installer, key: str) -> None:
         """Record installer activity under ``key``.
 
-        ``apply`` / ``apply_batch`` / ``advance_time`` are writes,
-        ``lookup`` a read; any physical tables the installer exposes as
+        ``apply`` / ``advance_time`` (and ``apply_batch``, on the
+        reordering installers that define it) are writes, ``lookup`` a read; any physical tables the installer exposes as
         ``shadow`` / ``main`` / ``table`` attributes are watched through
         the listener seam as ``<key>:<table>``.
         """

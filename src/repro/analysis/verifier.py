@@ -14,7 +14,10 @@ bookkeeping structure must not be able to vouch for itself.
 
 Checkers report structured :class:`~repro.analysis.violations.Violation`
 records; :func:`verify_partition` and :func:`verify_moveplan` are the
-aggregate entry points.
+aggregate entry points.  :func:`verify_partition` runs the atomic-predicate
+engine (:mod:`repro.analysis.ap`); the symbolic checkers here are its
+reference oracle, composed by :func:`symbolic_verify_partition` for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ from .violations import (
 )
 
 RuleSource = Sequence[Rule]
-
-#: Verification engines: ``"ap"`` (atomic predicates, the default — near
-#: linear on prefix tables) and ``"symbolic"`` (region decomposition via the
-#: ternary algebra — the original oracle, kept for cross-checks).
-ENGINES = ("ap", "symbolic")
 
 
 def _rules_of(table) -> List[Rule]:
@@ -326,34 +324,41 @@ def verify_partition(
     main: RuleSource,
     reference: Optional[RuleSource] = None,
     include_warnings: bool = False,
-    engine: str = "ap",
 ) -> List[Violation]:
     """Verify a shadow+main pair against the paper's correctness invariant.
 
     Runs the cross-table priority-inversion check and the duplicate-entry
     check; with a ``reference`` monolithic table, additionally diffs the
     pair's lookup semantics against it.  ``include_warnings`` adds the
-    per-table occlusion analyses (unreachable and shadowed rules).
-
-    ``engine`` selects the decision procedure: ``"ap"`` (default) runs the
-    atomic-predicate engine (:mod:`repro.analysis.ap`), ``"symbolic"`` the
-    original region-decomposition checkers.  Both are exact and report the
-    same violations; the AP engine is the one that scales to full-FIB
-    tables.
+    per-table occlusion analyses (unreachable and shadowed rules).  The
+    decision procedure is the atomic-predicate engine
+    (:mod:`repro.analysis.ap`), which scales to full-FIB tables.
 
     Returns the violations found, errors first; an empty list means the
     pair provably behaves like one priority-ordered table (relative to the
     checks requested).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}: expected one of {ENGINES}")
-    if engine == "ap":
-        # Imported lazily: ap imports this module's primitives.
-        from .ap import ap_verify_partition
+    # Imported lazily: ap imports this module's primitives.
+    from .ap import ap_verify_partition
 
-        return ap_verify_partition(
-            shadow, main, reference=reference, include_warnings=include_warnings
-        )
+    return ap_verify_partition(
+        shadow, main, reference=reference, include_warnings=include_warnings
+    )
+
+
+def symbolic_verify_partition(
+    shadow: RuleSource,
+    main: RuleSource,
+    reference: Optional[RuleSource] = None,
+    include_warnings: bool = False,
+) -> List[Violation]:
+    """The reference oracle for :func:`verify_partition`.
+
+    The same checks through the region-decomposition checkers of this
+    module.  Exact, and reports the same violations as the AP engine, but
+    quadratic in table size; ``--cross-check`` and the differential tests
+    compare the two.
+    """
     violations = find_priority_inversions(shadow, main)
     violations += find_duplicate_entries(shadow, main)
     if reference is not None:
@@ -455,19 +460,15 @@ def verify_moveplan(
 
 
 def verify_installer(
-    installer, include_warnings: bool = False, engine: str = "ap"
+    installer, include_warnings: bool = False
 ) -> List[Violation]:
     """Verify any :class:`~repro.switchsim.installer.RuleInstaller`.
 
     Uses the installer's ``tables()`` introspection seam: two-slice schemes
     (Hermes) get the full pair verification, monolithic schemes get the
     duplicate check only (a single table cannot invert against itself).
-    ``engine`` selects the decision procedure, as in
-    :func:`verify_partition`.
     """
     tables = installer.tables()
     shadow = tables.get("shadow", ())
     main = tables.get("main", tables.get("monolithic", ()))
-    return verify_partition(
-        shadow, main, include_warnings=include_warnings, engine=engine
-    )
+    return verify_partition(shadow, main, include_warnings=include_warnings)

@@ -155,16 +155,11 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
         if not actions:
             continue  # undelivered: nothing was installed
         duration = flowmod["end"] - flowmod["start"]
-        # The switch-side window: the batch span when the actions ran as a
-        # batch, else the actions themselves.  What the channel "cost" is
-        # the send duration minus the time the switch was doing the work.
-        window_start = min(span["start"] for span in actions)
-        window_end = max(span["end"] for span in actions)
-        parent = by_id.get(actions[0]["parent"])
-        if parent is not None and parent["name"] == "agent.batch":
-            window_start = parent["start"]
-            window_end = max(window_end, parent["end"])
-        channel_time = max(0.0, duration - (window_end - window_start))
+        # The switch-side window is the ``agent.batch`` span every
+        # submission opens.  What the channel "cost" is the send duration
+        # minus the time the switch was doing the work.
+        batch = by_id[actions[0]["parent"]]
+        channel_time = max(0.0, duration - (batch["end"] - batch["start"]))
         for action in actions:
             claimed.add(action["id"])
             breakdowns.append(action_breakdown(action, channel_time, flowmod))

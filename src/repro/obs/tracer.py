@@ -287,14 +287,6 @@ def _fold_into_metrics(record: dict, metrics: MetricsRegistry) -> None:
                     "hermes_guaranteed_actions_total",
                     help="actions that took the guaranteed (shadow) path",
                 ).inc()
-        elif name == "agent.batch":
-            # Per-action spans carry everything except shifts, which the
-            # agent can only measure batch-wide.
-            shifts = attrs.get("shifts")
-            if shifts:
-                metrics.counter(
-                    "hermes_tcam_shifts_total", help="TCAM entry shifts performed"
-                ).inc(shifts)
         elif name == "flowmod":
             metrics.counter(
                 "hermes_channel_sends_total", help="channel sends, by delivery"

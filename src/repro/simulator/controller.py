@@ -66,18 +66,12 @@ class InstallOutcome:
         ready_time: when the new path is fully programmed (all switches
             done) and the flow may switch over.
         per_switch_rits: rule-installation time at each switch touched.
-        per_switch_queue_delays: switch-CPU queueing delay of each
-            delivered FlowMod — the queue share of the RIT breakdown.
-        retries: control-channel redeliveries this installation needed
-            (always 0 on the naive channel).
         undelivered: FlowMods that never took effect on their switch —
             blackholed installs on a lossy channel.
     """
 
     ready_time: float
     per_switch_rits: List[float] = field(default_factory=list)
-    per_switch_queue_delays: List[float] = field(default_factory=list)
-    retries: int = 0
     undelivered: int = 0
 
 
@@ -180,61 +174,17 @@ class SdnController:
     # ------------------------------------------------------------------
     # Path programming
     # ------------------------------------------------------------------
-    def install_path(
-        self, flow: FlowSpec, path: Path, now: float
-    ) -> InstallOutcome:
-        """Install the flow's override rule on every switch of ``path``.
-
-        The FlowMod reaches each switch after half an RTT; the path is
-        usable once the slowest switch finishes (plus the returning half
-        RTT for the barrier confirmation).
-        """
-        span = get_tracer().start_span(
-            "install.path", start=now, category="controller",
-            flow=flow.flow_id,
-        )
-        ready = now
-        rits: List[float] = []
-        queue_delays: List[float] = []
-        retries = 0
-        undelivered = 0
-        for switch in path_switches(path, self.graph):
-            rule = Rule(
-                match=flow_match(flow),
-                priority=flow_rule_priority(flow),
-                action=Action.output(1),
-            )
-            sent = self.channels[switch].send(
-                FlowMod.add(rule), at_time=now + self.control_rtt / 2
-            )
-            retries += sent.retries
-            if sent.completed is None:
-                # Lost install: the switch never programmed this hop, so
-                # packets of the flow blackhole there until repair.
-                undelivered += 1
-                ready = max(ready, sent.done_time + self.control_rtt / 2)
-                continue
-            self._flow_rules[(flow.flow_id, switch)] = rule.rule_id
-            rits.append(sent.completed.response_time)
-            queue_delays.append(sent.completed.queue_delay)
-            ready = max(ready, sent.done_time + self.control_rtt / 2)
-        span.finish(end=ready, retries=retries, undelivered=undelivered)
-        return InstallOutcome(
-            ready_time=ready,
-            per_switch_rits=rits,
-            per_switch_queue_delays=queue_delays,
-            retries=retries,
-            undelivered=undelivered,
-        )
-
     def install_paths(
         self, assignments: Sequence[Tuple[FlowSpec, Path]], now: float
     ) -> List[InstallOutcome]:
-        """Install several flows' paths as per-switch FlowMod batches.
+        """Install flows' override rules as per-switch FlowMod batches.
 
         Controllers batch the FlowMods of one reconfiguration round; the
         per-switch batch is what gives reordering/rewriting schemes (ESPRES,
-        Tango) their leverage.  Returns one outcome per assignment, in
+        Tango) their leverage.  A reactive setup is a round of one.  Each
+        batch reaches its switch after half an RTT; a path is usable once
+        its slowest switch finishes (plus the returning half RTT for the
+        barrier confirmation).  Returns one outcome per assignment, in
         order.
         """
         per_switch: Dict[str, List[Tuple[int, Rule]]] = {}
@@ -253,7 +203,7 @@ class SdnController:
         )
         outcomes = [InstallOutcome(ready_time=now) for _ in assignments]
         for switch, entries in per_switch.items():
-            sent = self.channels[switch].send_batch(
+            sent = self.channels[switch].send(
                 [FlowMod.add(rule) for _, rule in entries],
                 at_time=now + self.control_rtt / 2,
             )
@@ -264,13 +214,10 @@ class SdnController:
                     flow_id = assignments[index][0].flow_id
                     self._flow_rules.pop((flow_id, switch), None)
                     outcomes[index].undelivered += 1
-                    outcomes[index].retries += sent.retries
                 continue
             for (index, _rule), action in zip(entries, sent.completed):
                 outcome = outcomes[index]
                 outcome.per_switch_rits.append(action.response_time)
-                outcome.per_switch_queue_delays.append(action.queue_delay)
-                outcome.retries += sent.retries
                 # The resilient channel's ack can trail the last TCAM write
                 # (redelivery); the path is only usable once the controller
                 # has heard back.
@@ -297,7 +244,7 @@ class SdnController:
                 continue
             try:
                 self.channels[switch].send(
-                    FlowMod.delete(rule_id), at_time=now + self.control_rtt / 2
+                    [FlowMod.delete(rule_id)], at_time=now + self.control_rtt / 2
                 )
             except KeyError:
                 # The rule was already evicted (e.g. subsumed at insert
@@ -317,14 +264,3 @@ class SdnController:
         for agent in self.agents.values():
             total += getattr(agent.installer, "violations", 0)
         return total
-
-    def total_channel_retries(self) -> int:
-        """Control-channel redeliveries across every switch."""
-        return sum(channel.stats.retries for channel in self.channels.values())
-
-    def total_channel_losses(self) -> int:
-        """Sends that never took effect (give-ups plus breaker fast-fails)."""
-        return sum(
-            channel.stats.give_ups + channel.stats.fast_fails
-            for channel in self.channels.values()
-        )

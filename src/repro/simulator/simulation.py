@@ -167,10 +167,6 @@ class Simulation:
         """Fold one installation outcome into the metrics."""
         for rit in outcome.per_switch_rits:
             self.metrics.record_rit(rit)
-        for delay in outcome.per_switch_queue_delays:
-            self.metrics.record_queue_delay(delay)
-        if outcome.retries:
-            self.metrics.record_retries(outcome.retries)
         if outcome.undelivered:
             self.metrics.record_undelivered(outcome.undelivered)
 
@@ -251,8 +247,6 @@ class Simulation:
         """Run to completion (or ``max_time``); returns the metrics."""
         self._schedule(self.config.te.epoch, "epoch")
         self._loop()
-        for kind, count in self.injector.log.counts().items():
-            self.metrics.record_fault(kind, count)
         return self.metrics
 
     def _completion_is_live(self, event) -> bool:
@@ -365,7 +359,7 @@ class Simulation:
             # must install the flow's rules before any byte moves — the
             # startup latency of reactive SDN applications.  The FCT clock
             # is already running.
-            outcome = self.controller.install_path(spec, path, self.now)
+            outcome = self.controller.install_paths([(spec, path)], self.now)[0]
             self._record_outcome(outcome)
             # det: allow(ambiguous-tier) -- start/activate collisions are seq-ordered on purpose; order pinned by parity digests
             self._schedule(

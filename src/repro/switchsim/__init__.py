@@ -2,7 +2,6 @@
 
 from .agent import AgentDownError, AgentStats, CompletedAction, SwitchAgent
 from .channel import (
-    BatchSendOutcome,
     Channel,
     ChannelConfig,
     ChannelStats,
@@ -23,7 +22,6 @@ from .pipeline import (
 __all__ = [
     "AgentDownError",
     "AgentStats",
-    "BatchSendOutcome",
     "Channel",
     "ChannelConfig",
     "ChannelStats",

@@ -155,10 +155,6 @@ class SwitchAgent:
         """Per-action response times — the series the RIT CDFs are built from."""
         return [completed.response_time for completed in self._history]
 
-    def queue_delays(self) -> List[float]:
-        """Per-action CPU queueing delays (submit to execution start)."""
-        return [completed.queue_delay for completed in self._history]
-
     def _sample_gauges(self, tracer, at_time: float) -> None:
         """Record the installer's gauge readings under this switch's name."""
         readings = self.installer.gauges()
@@ -182,143 +178,123 @@ class SwitchAgent:
     def submit(
         self, flow_mod: FlowMod, at_time: Optional[float] = None
     ) -> CompletedAction:
-        """Submit one FlowMod at simulation time ``at_time``.
+        """Submit one FlowMod at simulation time ``at_time``: a batch of one.
 
-        ``at_time=None`` submits at the shared clock's current instant.
-        Returns the completed action with its queueing-inclusive timing.
-        A redelivered FlowMod (same xid as an already-applied one) is not
-        re-executed: the cached outcome is returned, so controller-side
-        retransmissions cannot double-install.
+        Returns its completed action; see :meth:`submit_batch`.
         """
-        if at_time is None:
-            at_time = self.clock.now
-        tracer = self.tracer
-        if flow_mod.xid is not None and flow_mod.xid in self._xid_cache:
-            self.stats.deduplicated += 1
-            tracer.event(
-                "agent.dedup", time=at_time, category="agent",
-                switch=self.name, xid=flow_mod.xid,
-            )
-            return self._xid_cache[flow_mod.xid]
-        self._check_faults(at_time)
-        span = tracer.start_span(
-            "agent.action", start=at_time, category="agent",
-            switch=self.name, command=flow_mod.command.value, xid=flow_mod.xid,
-        )
-        # advance_time first: migration-era shifts belong to the Rule
-        # Manager's own span, not to this action's delta.
-        background = self.installer.advance_time(at_time)
-        shifts_before = self.installer.shift_count()
-        start = self._cpu.start_time(at_time)
-        try:
-            result = self.installer.apply(flow_mod)
-        except BaseException:
-            span.finish(end=at_time, error=True)
-            raise
-        shifts = self.installer.shift_count() - shifts_before
-        finish = start + result.latency
-        self._cpu.occupy_until(finish)
-        completed = CompletedAction(
-            flow_mod=flow_mod,
-            result=result,
-            submit_time=at_time,
-            start_time=start,
-            finish_time=finish,
-            shifts=shifts,
-        )
-        self._history.append(completed)
-        self.stats.record(completed, background_time=background)
-        if flow_mod.xid is not None:
-            self._xid_cache[flow_mod.xid] = completed
-        span.finish(
-            end=finish,
-            queue_delay=completed.queue_delay,
-            exec_latency=result.latency,
-            shifts=shifts,
-            guaranteed=result.used_guaranteed_path,
-            background=background,
-        )
-        if tracer.enabled:
-            self._sample_gauges(tracer, finish)
-        return completed
+        return self._execute((flow_mod,), at_time)[0]
 
     def submit_batch(
         self, flow_mods: Sequence[FlowMod], at_time: Optional[float] = None
     ) -> List[CompletedAction]:
-        """Submit a batch arriving together at ``at_time``.
+        """Submit FlowMods arriving together at ``at_time``.
 
         ``at_time=None`` submits at the shared clock's current instant.
-        The installer may reorder or rewrite the batch (ESPRES / Tango);
-        results are timed serially in the installer's execution order.
-        Batches are deduplicated as a unit by the xid of their first mod.
+        Returns one completed action per FlowMod, in input order, with its
+        queueing-inclusive timing.  A redelivered batch (same xid on its
+        first FlowMod as an already-applied one) is not re-executed: the
+        cached outcome is returned, so controller-side retransmissions
+        cannot double-install.
+        """
+        return self._execute(flow_mods, at_time)
+
+    def _execute(
+        self, flow_mods: Sequence[FlowMod], at_time: Optional[float]
+    ) -> List[CompletedAction]:
+        """The one execution body behind :meth:`submit` and
+        :meth:`submit_batch`.
+
+        Every submission opens one ``agent.batch`` span.  FlowMods run
+        serially on the switch CPU in input order, each under its own
+        ``agent.action`` span that is open while the installer applies it,
+        so GateKeeper events and the action's shift delta land on the
+        FlowMod that caused them.  An installer that reorders or rewrites
+        batches (one defining ``apply_batch``: ESPRES, Tango) receives a
+        multi-FlowMod batch whole; its actions are still timed in input
+        order, and the batch's shifts all land on its first action.  A
+        FlowMod that raises leaves the CPU horizon, history and stats
+        untouched.
         """
         if at_time is None:
             at_time = self.clock.now
         tracer = self.tracer
-        batch_xid = flow_mods[0].xid if flow_mods else None
-        if batch_xid is not None and batch_xid in self._xid_cache:
+        xid = flow_mods[0].xid if flow_mods else None
+        if xid is not None and xid in self._xid_cache:
             self.stats.deduplicated += 1
             tracer.event(
                 "agent.dedup", time=at_time, category="agent",
-                switch=self.name, xid=batch_xid, batch=True,
+                switch=self.name, xid=xid,
             )
-            return self._xid_cache[batch_xid]
+            return self._xid_cache[xid]
         self._check_faults(at_time)
         batch_span = tracer.start_span(
             "agent.batch", start=at_time, category="agent",
-            switch=self.name, size=len(flow_mods), xid=batch_xid,
+            switch=self.name, size=len(flow_mods), xid=xid,
         )
-        background = self.installer.advance_time(at_time)
-        shifts_before = self.installer.shift_count()
-        start = self._cpu.start_time(at_time)
-        completed_actions: List[CompletedAction] = []
+        installer = self.installer
+        # advance_time first: migration-era shifts belong to the Rule
+        # Manager's own span, not to any action's delta.
+        background = installer.advance_time(at_time)
+        cursor = self._cpu.start_time(at_time)
+        shifts_before = installer.shift_count()
+        completed: List[CompletedAction] = []
         try:
-            results = self.installer.apply_batch(flow_mods)
-        except BaseException:
-            batch_span.finish(end=at_time, error=True)
-            raise
-        batch_shifts = self.installer.shift_count() - shifts_before
-        cursor = start
-        for index, (flow_mod, result) in enumerate(zip(flow_mods, results)):
-            finish = cursor + result.latency
-            completed = CompletedAction(
-                flow_mod=flow_mod,
-                result=result,
-                submit_time=at_time,
-                start_time=cursor,
-                finish_time=finish,
+            apply_batch = getattr(installer, "apply_batch", None)
+            results = (
+                apply_batch(flow_mods)
+                if apply_batch is not None and len(flow_mods) > 1
+                else None
             )
-            completed_actions.append(completed)
-            # The batch's background work is charged once, with its first
-            # action, so the decomposition stays additive.
-            self.stats.record(
-                completed, background_time=background if index == 0 else 0.0
-            )
-            if tracer.enabled:
-                # Per-action child spans (parented on the open batch span);
-                # shifts are known only batch-wide, so they live on the
-                # batch span instead.
-                tracer.start_span(
+            for index, flow_mod in enumerate(flow_mods):
+                span = tracer.start_span(
                     "agent.action", start=at_time, category="agent",
                     switch=self.name, command=flow_mod.command.value,
                     xid=flow_mod.xid,
-                ).finish(
-                    end=finish,
-                    queue_delay=completed.queue_delay,
+                )
+                try:
+                    result = (
+                        installer.apply(flow_mod) if results is None
+                        else results[index]
+                    )
+                except BaseException:
+                    span.finish(end=at_time, error=True)
+                    raise
+                shifts_after = installer.shift_count()
+                action = CompletedAction(
+                    flow_mod=flow_mod,
+                    result=result,
+                    submit_time=at_time,
+                    start_time=cursor,
+                    finish_time=cursor + result.latency,
+                    shifts=shifts_after - shifts_before,
+                )
+                span.finish(
+                    end=action.finish_time,
+                    queue_delay=action.queue_delay,
                     exec_latency=result.latency,
+                    shifts=action.shifts,
                     guaranteed=result.used_guaranteed_path,
                 )
-            cursor = finish
+                completed.append(action)
+                cursor = action.finish_time
+                shifts_before = shifts_after
+        except BaseException:
+            batch_span.finish(end=at_time, error=True)
+            raise
         self._cpu.occupy_until(cursor)
-        self._history.extend(completed_actions)
-        if batch_xid is not None:
-            self._xid_cache[batch_xid] = completed_actions
-        batch_span.finish(
-            end=cursor, shifts=batch_shifts, background=background
-        )
+        for index, action in enumerate(completed):
+            # Background work is charged once, with the first action, so
+            # the busy/background decomposition stays additive.
+            self.stats.record(
+                action, background_time=background if index == 0 else 0.0
+            )
+        self._history.extend(completed)
+        if xid is not None:
+            self._xid_cache[xid] = completed
+        batch_span.finish(end=cursor, background=background)
         if tracer.enabled:
             self._sample_gauges(tracer, cursor)
-        return completed_actions
+        return completed
 
     def lookup(self, key: int) -> Optional[Rule]:
         """Data-plane lookup delegated to the installer."""

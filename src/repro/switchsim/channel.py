@@ -66,42 +66,20 @@ class ChannelConfig:
 
 @dataclass
 class SendOutcome:
-    """Result of sending one FlowMod through a channel.
-
-    Attributes:
-        completed: the agent-side outcome, or None when the FlowMod never
-            took effect (dropped on every attempt, or breaker fast-fail).
-        attempts: delivery attempts made (0 for a breaker fast-fail).
-        done_time: when the controller learned the final status — the ack
-            time on success, the give-up time otherwise.
-        delivered: True when the controller received an ack.
-    """
-
-    completed: Optional[CompletedAction]
-    attempts: int
-    done_time: float
-    delivered: bool
-
-    @property
-    def applied(self) -> bool:
-        """True when the switch actually executed the FlowMod (it may have,
-        even unacked, when only the ack was lost)."""
-        return self.completed is not None
-
-    @property
-    def retries(self) -> int:
-        """Attempts beyond the first."""
-        return max(0, self.attempts - 1)
-
-
-@dataclass
-class BatchSendOutcome:
     """Result of sending one FlowMod batch through a channel.
 
-    ``ack_time`` is None for the naive channel (the controller observes
-    each action's own finish time); the resilient channel sets it to the
-    instant the batch ack arrived, which retries can push past the last
-    action's finish time.
+    A single FlowMod is a batch of one.
+
+    Attributes:
+        completed: the agent-side outcomes, one per FlowMod in input order;
+            empty when the batch never took effect (dropped on every
+            attempt, or breaker fast-fail).
+        attempts: delivery attempts made (0 for a breaker fast-fail).
+        ack_time: None for the naive channel (the controller observes each
+            action's own finish time); the resilient channel sets it to the
+            instant the ack arrived, which retries can push past the last
+            action's finish time.  On failure, the give-up time.
+        delivered: True when the controller received an ack.
     """
 
     completed: List[CompletedAction] = field(default_factory=list)
@@ -111,10 +89,13 @@ class BatchSendOutcome:
 
     @property
     def applied(self) -> bool:
+        """True when the switch actually executed the batch (it may have,
+        even unacked, when only the ack was lost)."""
         return bool(self.completed)
 
     @property
     def retries(self) -> int:
+        """Attempts beyond the first."""
         return max(0, self.attempts - 1)
 
 
@@ -131,14 +112,9 @@ class ChannelStats:
 
 
 class Channel:
-    """Interface: deliver FlowMods to one switch agent."""
+    """Interface: deliver FlowMod batches to one switch agent."""
 
-    def send(self, flow_mod: FlowMod, at_time: float) -> SendOutcome:
-        raise NotImplementedError
-
-    def send_batch(
-        self, flow_mods: Sequence[FlowMod], at_time: float
-    ) -> BatchSendOutcome:
+    def send(self, flow_mods: Sequence[FlowMod], at_time: float) -> SendOutcome:
         raise NotImplementedError
 
 
@@ -185,70 +161,32 @@ class NaiveChannel(Channel):
             return None
         return verdict.delay
 
-    def send(self, flow_mod: FlowMod, at_time: float) -> SendOutcome:
+    def send(self, flow_mods: Sequence[FlowMod], at_time: float) -> SendOutcome:
         self.stats.sends += 1
         span = self.tracer.start_span(
             "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="single",
+            switch=self.agent.name, size=len(flow_mods),
         )
         delay = self._verdict_delay(at_time)
-        if delay is None:
-            self.stats.give_ups += 1
-            span.finish(end=at_time, delivered=False, attempts=1)
-            return SendOutcome(
-                completed=None, attempts=1, done_time=at_time, delivered=False
-            )
         try:
-            completed = self.agent.submit(flow_mod, at_time=at_time + delay)
-        except AgentDownError:
-            self.stats.give_ups += 1
-            span.finish(end=at_time, delivered=False, attempts=1)
-            return SendOutcome(
-                completed=None, attempts=1, done_time=at_time, delivered=False
+            completed = None if delay is None else self.agent.submit_batch(
+                flow_mods, at_time=at_time + delay
             )
+        except AgentDownError:
+            completed = None  # the crashed agent lost the queued message
         except BaseException:
             span.finish(end=at_time, error=True)
             raise
-        span.finish(end=completed.finish_time, delivered=True, attempts=1)
-        return SendOutcome(
-            completed=completed,
-            attempts=1,
-            done_time=completed.finish_time,
-            delivered=True,
-        )
-
-    def send_batch(
-        self, flow_mods: Sequence[FlowMod], at_time: float
-    ) -> BatchSendOutcome:
-        self.stats.sends += 1
-        span = self.tracer.start_span(
-            "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="batch", size=len(flow_mods),
-        )
-        delay = self._verdict_delay(at_time)
-        if delay is None:
+        if completed is None:
             self.stats.give_ups += 1
             span.finish(end=at_time, delivered=False, attempts=1)
-            return BatchSendOutcome(
-                completed=[], attempts=1, ack_time=at_time, delivered=False
-            )
-        try:
-            completed = self.agent.submit_batch(flow_mods, at_time=at_time + delay)
-        except AgentDownError:
-            self.stats.give_ups += 1
-            span.finish(end=at_time, delivered=False, attempts=1)
-            return BatchSendOutcome(
-                completed=[], attempts=1, ack_time=at_time, delivered=False
-            )
-        except BaseException:
-            span.finish(end=at_time, error=True)
-            raise
+            return SendOutcome(ack_time=at_time, delivered=False)
         span.finish(
             end=max((action.finish_time for action in completed), default=at_time),
             delivered=True,
             attempts=1,
         )
-        return BatchSendOutcome(completed=completed, attempts=1, ack_time=None)
+        return SendOutcome(completed=completed)
 
 
 class ResilientChannel(Channel):
@@ -329,70 +267,37 @@ class ResilientChannel(Channel):
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, flow_mod: FlowMod, at_time: float) -> SendOutcome:
-        self.stats.sends += 1
-        if self._fast_fail(at_time):
-            return SendOutcome(
-                completed=None, attempts=0, done_time=at_time, delivered=False
-            )
-        xid = next(self._xids)
-        stamped = replace(flow_mod, xid=xid)
-        span = self.tracer.start_span(
-            "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="single", xid=xid,
-        )
-        try:
-            outcome = self._attempt_loop(
-                at_time, xid, lambda arrival: self.agent.submit(stamped, at_time=arrival)
-            )
-        except BaseException:
-            span.finish(end=at_time, error=True)
-            raise
-        applied, attempts, done_time, delivered = outcome
-        span.finish(end=done_time, delivered=delivered, attempts=attempts)
-        return SendOutcome(
-            completed=applied,
-            attempts=attempts,
-            done_time=done_time,
-            delivered=delivered,
-        )
-
-    def send_batch(
-        self, flow_mods: Sequence[FlowMod], at_time: float
-    ) -> BatchSendOutcome:
+    def send(self, flow_mods: Sequence[FlowMod], at_time: float) -> SendOutcome:
         self.stats.sends += 1
         if not flow_mods:
-            return BatchSendOutcome(completed=[], attempts=0, ack_time=at_time)
+            return SendOutcome(attempts=0, ack_time=at_time)
         if self._fast_fail(at_time):
-            return BatchSendOutcome(
-                completed=[], attempts=0, ack_time=at_time, delivered=False
-            )
+            return SendOutcome(attempts=0, ack_time=at_time, delivered=False)
         xid = next(self._xids)
         stamped = [replace(flow_mod, xid=xid) for flow_mod in flow_mods]
         span = self.tracer.start_span(
             "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="batch", size=len(flow_mods), xid=xid,
+            switch=self.agent.name, size=len(flow_mods), xid=xid,
         )
         try:
-            outcome = self._attempt_loop(
-                at_time, xid, lambda arrival: self.agent.submit_batch(stamped, at_time=arrival)
+            applied, attempts, ack_time, delivered = self._attempt_loop(
+                at_time, xid, stamped
             )
         except BaseException:
             span.finish(end=at_time, error=True)
             raise
-        applied, attempts, done_time, delivered = outcome
-        span.finish(end=done_time, delivered=delivered, attempts=attempts)
-        return BatchSendOutcome(
-            completed=applied if applied is not None else [],
+        span.finish(end=ack_time, delivered=delivered, attempts=attempts)
+        return SendOutcome(
+            completed=applied,
             attempts=attempts,
-            ack_time=done_time,
+            ack_time=ack_time,
             delivered=delivered,
         )
 
-    def _attempt_loop(self, at_time: float, xid: int, apply: Callable):
-        """Shared retry machinery; returns (applied, attempts, done, ok)."""
+    def _attempt_loop(self, at_time: float, xid: int, stamped: List[FlowMod]):
+        """The retry machinery; returns (applied, attempts, done, ok)."""
         now = at_time
-        applied = None
+        applied: List[CompletedAction] = []
         attempts = 0
         while attempts <= self.config.max_retries:
             attempts += 1
@@ -408,19 +313,21 @@ class ResilientChannel(Channel):
             arrival = now + verdict.delay
             if not lost:
                 try:
-                    applied = apply(arrival)
+                    applied = self.agent.submit_batch(stamped, at_time=arrival)
                 except AgentDownError:
                     lost = True
                 else:
                     if verdict.kind == "duplicate":
                         # The network delivered a second copy; the agent's
                         # xid cache absorbs it.
-                        apply(arrival)
+                        self.agent.submit_batch(stamped, at_time=arrival)
                     if verdict.kind != "drop-ack":
                         # Acked: success.
                         self._consecutive_timeouts = 0
                         self._open_until = None
-                        done = max(arrival, self._finish_time(applied))
+                        done = max(
+                            [arrival] + [action.finish_time for action in applied]
+                        )
                         return applied, attempts, done, True
                     lost = True  # applied, but the controller never hears
             # Timeout path.
@@ -440,9 +347,3 @@ class ResilientChannel(Channel):
             "give-up", time=now, target=self.agent.name, xid=xid, attempts=attempts
         )
         return applied, attempts, now + self.config.timeout, False
-
-    @staticmethod
-    def _finish_time(applied) -> float:
-        if isinstance(applied, list):
-            return max((action.finish_time for action in applied), default=0.0)
-        return applied.finish_time

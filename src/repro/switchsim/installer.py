@@ -9,7 +9,7 @@ interchangeably, which is what lets us A/B the systems the paper compares.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from ..faults.injector import FaultInjector
 from ..faults.table import TcamWriteError
@@ -25,14 +25,6 @@ class RuleInstaller(abc.ABC):
     @abc.abstractmethod
     def apply(self, flow_mod: FlowMod) -> FlowModResult:
         """Apply one FlowMod, returning the control-plane latency it cost."""
-
-    def apply_batch(self, flow_mods: Sequence[FlowMod]) -> List[FlowModResult]:
-        """Apply a batch of FlowMods.
-
-        The default applies them in arrival order; schemes that reorder or
-        rewrite batches (ESPRES, Tango) override this.
-        """
-        return [self.apply(flow_mod) for flow_mod in flow_mods]
 
     @abc.abstractmethod
     def lookup(self, key: int) -> Optional[Rule]:

@@ -18,7 +18,11 @@ from repro.analysis.ap import (
     first_match_winners,
     violation_fingerprint,
 )
-from repro.analysis.verifier import lookup_order, verify_partition
+from repro.analysis.verifier import (
+    lookup_order,
+    symbolic_verify_partition,
+    verify_partition,
+)
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
 
@@ -154,7 +158,7 @@ class TestAtomIndex:
 
 
 def errors_only(shadow, main):
-    return verify_partition(shadow, main, engine="symbolic")
+    return symbolic_verify_partition(shadow, main)
 
 
 class TestIncrementalChecker:
@@ -258,10 +262,8 @@ def width32_rules(max_size):
 
 
 def assert_engines_agree(shadow, main):
-    ap = verify_partition(shadow, main, include_warnings=True, engine="ap")
-    symbolic = verify_partition(
-        shadow, main, include_warnings=True, engine="symbolic"
-    )
+    ap = verify_partition(shadow, main, include_warnings=True)
+    symbolic = symbolic_verify_partition(shadow, main, include_warnings=True)
     assert engines_agree(ap, symbolic), (
         f"AP={violation_fingerprint(ap)}\nSYM={violation_fingerprint(symbolic)}"
     )
@@ -312,11 +314,9 @@ class TestDifferential:
             R(p, prio, port=1 + i % 3, rule_id=100 + i)
             for i, (p, prio) in enumerate(reference)
         ]
-        ap = verify_partition(
-            [], system_rules, reference=reference_rules, engine="ap"
-        )
-        symbolic = verify_partition(
-            [], system_rules, reference=reference_rules, engine="symbolic"
+        ap = verify_partition([], system_rules, reference=reference_rules)
+        symbolic = symbolic_verify_partition(
+            [], system_rules, reference=reference_rules
         )
         assert engines_agree(ap, symbolic)
 
@@ -331,7 +331,7 @@ class TestDifferential:
             R(p, prio, port=2, rule_id=offset + i + 1)
             for i, (p, prio) in enumerate(main)
         ]
-        for violation in verify_partition(shadow_rules, main_rules, engine="ap"):
+        for violation in verify_partition(shadow_rules, main_rules):
             if violation.kind != "priority-inversion" or violation.witness is None:
                 continue
             key = violation.witness

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from repro.analysis.__main__ import build_scenario
+from repro.analysis.ap import engines_agree
 from repro.analysis.snapshot import (
     diff_snapshots,
     dump_snapshot,
@@ -21,6 +23,7 @@ from repro.analysis.snapshot import (
     rule_to_dict,
     snapshot_tables,
 )
+from repro.analysis.verifier import symbolic_verify_partition, verify_partition
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
 
@@ -204,8 +207,18 @@ class TestCliEngines:
         assert "agree" in result.stdout
 
     def test_scenario_symbolic_engine_matches(self):
-        result = run_cli("scenario", "--steps", "40", "--engine", "symbolic")
-        assert result.returncode == 0, result.stdout + result.stderr
+        # The CLI scenario's snapshot, checked by the symbolic oracle
+        # directly: clean, and the same findings as the AP engine.
+        hermes, direct = build_scenario(steps=40)
+        snapshot = load_snapshot(
+            snapshot_tables(hermes.tables(), reference=direct.table)
+        )
+        tables = (snapshot.shadow, snapshot.main)
+        oracle = symbolic_verify_partition(*tables, reference=snapshot.reference)
+        assert not [violation for violation in oracle if violation.is_error]
+        assert engines_agree(
+            verify_partition(*tables, reference=snapshot.reference), oracle
+        )
 
     def test_corrupt_scenario_cross_check_still_fails_cleanly(self):
         result = run_cli(

@@ -34,7 +34,7 @@ class TestEspres:
         naive = NaiveInstaller(pica8_p3290())
         espres = EspresInstaller(pica8_p3290())
         naive_latency = sum(
-            r.latency for r in naive.apply_batch(ascending_priority_batch())
+            naive.apply(flow_mod).latency for flow_mod in ascending_priority_batch()
         )
         espres_latency = sum(
             r.latency for r in espres.apply_batch(ascending_priority_batch())

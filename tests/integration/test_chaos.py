@@ -98,7 +98,6 @@ class TestSingleInjectorPath:
         assert metrics.rits()
         silent = simulation.fault_log.count("tcam-write-silent")
         assert silent > 0
-        assert metrics.fault_counts()["tcam-write-silent"] == silent
         for agent in simulation.controller.agents.values():
             assert agent.injector is simulation.injector
             assert agent.installer.injector is simulation.injector

@@ -29,13 +29,16 @@ from repro.obs.tracer import TRACE_FORMAT, RecordingTracer
 def build_trace() -> RecordingTracer:
     """One FlowMod through a channel, plus gauges: known stage values.
 
-    flowmod span: 0.000 -> 0.005 (5 ms), action window 0.002 -> 0.004
+    flowmod span: 0.000 -> 0.005 (5 ms), agent.batch window 0.002 -> 0.004
     (2 ms) => channel = 3 ms.  queue_delay = 1 ms, exec_latency = 2 ms,
     gatekeeper latency = 0.2 ms => tcam = 1.8 ms.
     """
     tracer = RecordingTracer(meta={"scenario": "unit"})
     flowmod = tracer.start_span(
-        "flowmod", start=0.0, category="channel", kind="single", switch="s1"
+        "flowmod", start=0.0, category="channel", size=1, switch="s1"
+    )
+    batch = tracer.start_span(
+        "agent.batch", start=0.002, category="agent", switch="s1", size=1
     )
     action = tracer.start_span(
         "agent.action", start=0.002, category="agent", switch="s1", command="add"
@@ -45,6 +48,7 @@ def build_trace() -> RecordingTracer:
         reason="admitted", use_shadow=True, latency=0.0002,
     )
     action.finish(end=0.004, queue_delay=0.001, exec_latency=0.002, shifts=3)
+    batch.finish(end=0.004)
     flowmod.finish(end=0.005, delivered=True, attempts=2)
     tracer.sample("shadow.occupancy", time=0.004, value=10.0, switch="s1")
     tracer.sample("shadow.occupancy", time=0.005, value=12.0, switch="s1")

@@ -393,13 +393,18 @@ class TestGuaranteeBurn:
         assert report.layers["gatekeeper"].mean_seconds == 0.0
 
     def test_accepts_raw_trace_records(self):
-        # A flowmod span wrapping one agent.action: the summarizer path.
+        # flowmod -> agent.batch -> agent.action: the summarizer path.
         records = [
             {
-                "type": "span", "id": 2, "parent": 1, "name": "agent.action",
+                "type": "span", "id": 3, "parent": 2, "name": "agent.action",
                 "cat": "switch", "start": 0.001, "end": 0.003,
                 "attrs": {"switch": "s1", "command": "add",
                           "queue_delay": 0.0, "exec_latency": 0.002},
+            },
+            {
+                "type": "span", "id": 2, "parent": 1, "name": "agent.batch",
+                "cat": "switch", "start": 0.001, "end": 0.003,
+                "attrs": {"switch": "s1", "size": 1},
             },
             {
                 "type": "span", "id": 1, "parent": 0, "name": "flowmod",

@@ -82,7 +82,7 @@ class TestController:
             source="host-0-0-0", destination="host-1-0-0", size=1e6, start_time=0.0
         )
         path = provider.shortest_path(flow.source, flow.destination)
-        outcome = controller.install_path(flow, path, now=0.0)
+        outcome = controller.install_paths([(flow, path)], now=0.0)[0]
         assert len(outcome.per_switch_rits) == len(path) - 2  # minus two hosts
         assert outcome.ready_time > 1e-3  # at least the RTT
 
@@ -93,7 +93,7 @@ class TestController:
             source="host-0-0-0", destination="host-1-0-0", size=1e6, start_time=0.0
         )
         path = provider.shortest_path(flow.source, flow.destination)
-        controller.install_path(flow, path, now=0.0)
+        controller.install_paths([(flow, path)], now=0.0)
         assert controller.has_rules_for(flow.flow_id)
         controller.remove_flow_rules(flow, path, now=1.0)
         assert not controller.has_rules_for(flow.flow_id)

@@ -55,11 +55,12 @@ class TestNaiveChannel:
         for index in range(8):
             mod = FlowMod.add(rule(f"10.0.{index}.0/24", 5))
             expected = direct_agent.submit(mod, at_time=index * 0.01)
-            outcome = channel.send(mod, at_time=index * 0.01)
+            outcome = channel.send([mod], at_time=index * 0.01)
             assert outcome.delivered
             assert outcome.attempts == 1
-            assert outcome.done_time == expected.finish_time
-            assert outcome.completed.result.latency == expected.result.latency
+            assert outcome.ack_time is None
+            assert outcome.completed[0].finish_time == expected.finish_time
+            assert outcome.completed[0].result.latency == expected.result.latency
         assert occupancy(direct_agent) == occupancy(channel_agent)
 
     def test_drop_loses_the_install_forever(self):
@@ -67,7 +68,7 @@ class TestNaiveChannel:
         injector = FaultInjector(plan, seed=0)
         agent = make_agent()
         channel = NaiveChannel(agent, injector)
-        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        outcome = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert not outcome.delivered
         assert not outcome.applied
         assert occupancy(agent) == 0
@@ -79,7 +80,7 @@ class TestNaiveChannel:
         injector = FaultInjector(plan, seed=0)
         agent = make_agent()
         channel = NaiveChannel(agent, injector)
-        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        outcome = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert outcome.applied
         assert occupancy(agent) == 1
 
@@ -94,7 +95,7 @@ class TestResilientChannel:
         injector = FaultInjector(FaultPlan(), seed=0)
         agent = make_agent(injector)
         channel = resilient(agent, injector)
-        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        outcome = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert outcome.delivered and outcome.attempts == 1 and outcome.retries == 0
         assert occupancy(agent) == 1
 
@@ -106,7 +107,7 @@ class TestResilientChannel:
         channel = resilient(agent, injector, max_retries=64, breaker_threshold=128)
         for index in range(24):
             outcome = channel.send(
-                FlowMod.add(rule(f"10.0.{index}.0/24", 5)), at_time=index * 0.5
+                [FlowMod.add(rule(f"10.0.{index}.0/24", 5))], at_time=index * 0.5
             )
             assert outcome.delivered
         assert occupancy(agent) == 24
@@ -124,7 +125,7 @@ class TestResilientChannel:
         channel = resilient(
             agent, injector, max_retries=5, breaker_threshold=128
         )
-        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        outcome = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert not outcome.delivered
         assert outcome.applied  # installed on attempt 1, acks all lost
         assert occupancy(agent) == 1
@@ -137,7 +138,7 @@ class TestResilientChannel:
         injector = FaultInjector(plan, seed=0)
         agent = make_agent(injector)
         channel = resilient(agent, injector)
-        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        outcome = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert outcome.delivered
         assert occupancy(agent) == 1
         assert agent.stats.deduplicated == 1
@@ -147,7 +148,7 @@ class TestResilientChannel:
         injector = FaultInjector(plan, seed=0)
         agent = make_agent(injector)
         channel = resilient(agent, injector, max_retries=3, breaker_threshold=128)
-        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        outcome = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert not outcome.delivered
         assert outcome.attempts == 4  # 1 + max_retries
         assert channel.stats.give_ups == 1
@@ -158,8 +159,8 @@ class TestResilientChannel:
         injector = FaultInjector(plan, seed=0)
         agent = make_agent(injector)
         channel = resilient(agent, injector, max_retries=2, breaker_threshold=128)
-        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=1.0)
-        assert outcome.done_time > 1.0 + channel.config.timeout
+        outcome = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=1.0)
+        assert outcome.ack_time > 1.0 + channel.config.timeout
 
     def test_batch_send_and_dedup(self):
         plan = FaultPlan(flowmod=FlowModFault(drop=1.0, ack_loss_fraction=1.0))
@@ -167,7 +168,7 @@ class TestResilientChannel:
         agent = make_agent(injector)
         channel = resilient(agent, injector, max_retries=4, breaker_threshold=128)
         mods = [FlowMod.add(rule(f"10.0.{i}.0/24", 5)) for i in range(3)]
-        outcome = channel.send_batch(mods, at_time=0.0)
+        outcome = channel.send(mods, at_time=0.0)
         assert outcome.applied and not outcome.delivered
         assert occupancy(agent) == 3  # batch applied exactly once
 
@@ -189,7 +190,7 @@ class TestCircuitBreaker:
             ),
             on_breaker_open=opened_at.append,
         )
-        first = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        first = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert not first.delivered
         assert channel.breaker_open
         assert channel.stats.breaker_opens == 1
@@ -197,7 +198,7 @@ class TestCircuitBreaker:
         # While open, sends fast-fail without touching the network.
         drops_before = injector.log.count("flowmod-drop")
         second = channel.send(
-            FlowMod.add(rule("10.0.1.0/24", 5)), at_time=first.done_time + 0.01
+            [FlowMod.add(rule("10.0.1.0/24", 5))], at_time=first.ack_time + 0.01
         )
         assert second.attempts == 0 and not second.delivered
         assert channel.stats.fast_fails == 1
@@ -216,11 +217,11 @@ class TestCircuitBreaker:
                 jitter=0.0, max_retries=10, breaker_threshold=3, breaker_cooldown=1.0
             ),
         )
-        tripped = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=0.0)
+        tripped = channel.send([FlowMod.add(rule("10.0.0.0/24", 5))], at_time=0.0)
         assert channel.breaker_open
         injector.plan = FaultPlan()  # network heals
-        probe_time = tripped.done_time + channel.config.breaker_cooldown + 1.0
-        outcome = channel.send(FlowMod.add(rule("10.0.1.0/24", 5)), at_time=probe_time)
+        probe_time = tripped.ack_time + channel.config.breaker_cooldown + 1.0
+        outcome = channel.send([FlowMod.add(rule("10.0.1.0/24", 5))], at_time=probe_time)
         assert outcome.delivered
         assert not channel.breaker_open
         assert occupancy(agent) == 1

@@ -85,7 +85,7 @@ class TestDirectInstaller:
 
     def test_batch_applies_in_order(self, installer):
         mods = [FlowMod.add(rule(f"10.{i}.0.0/16", i)) for i in range(5)]
-        results = installer.apply_batch(mods)
+        results = [installer.apply(flow_mod) for flow_mod in mods]
         assert len(results) == 5
         assert installer.occupancy() == 5
 
