@@ -11,8 +11,9 @@ computes the shift count of every insertion, and charges latencies from an
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +81,11 @@ class TcamTable:
     actions return a :class:`ControlActionResult` carrying the modelled
     latency; the table itself holds no clock — callers (the switch agent or
     the simulator) accumulate time.
+
+    The physical order is indexed: ``_keys`` runs parallel to ``_entries``
+    and holds each entry's ``(-priority, seq)``, where ``seq`` is the
+    table's insertion counter, so ``_keys`` is sorted and every placement
+    and lookup by id is a bisection instead of a scan.
     """
 
     def __init__(
@@ -106,6 +112,9 @@ class TcamTable:
         self.rng = rng
         self.stats = TableStats()
         self._entries: List[Rule] = []
+        self._keys: List[Tuple[int, int]] = []
+        self._key_of: Dict[int, Tuple[int, int]] = {}
+        self._seq = 0
         self._by_id: Dict[int, Rule] = {}
         self._listeners: List[object] = []
 
@@ -197,7 +206,9 @@ class TcamTable:
             )
         if rule.rule_id in self._by_id:
             raise ValueError(f"{self.name}: rule #{rule.rule_id} already installed")
-        position = self._insertion_position(rule.priority)
+        # The bottom of the rule's priority class: seq outranks every resident.
+        key = (-rule.priority, self._seq)
+        position = bisect_right(self._keys, key)
         shifts = len(self._entries) - position
         effective_occupancy = 0 if planned else len(self._entries)
         latency = self.timing.insertion_latency(
@@ -207,6 +218,9 @@ class TcamTable:
             rng=self.rng,
         )
         self._entries.insert(position, rule)
+        self._keys.insert(position, key)
+        self._seq += 1
+        self._key_of[rule.rule_id] = key
         self._by_id[rule.rule_id] = rule
         result = ControlActionResult(latency=latency, shifts=shifts, position=position)
         self.stats.record("insert", result)
@@ -225,8 +239,10 @@ class TcamTable:
             RuleNotFoundError: when no such rule is installed.
         """
         rule = self.get(rule_id)
-        position = self._entries.index(rule)
+        position = self._position(rule_id)
         del self._entries[position]
+        del self._keys[position]
+        del self._key_of[rule_id]
         del self._by_id[rule_id]
         latency = self.timing.deletion_latency(rng=self.rng)
         result = ControlActionResult(latency=latency, shifts=0, position=position)
@@ -258,7 +274,7 @@ class TcamTable:
             RuleNotFoundError: when no such rule is installed.
         """
         rule = self.get(rule_id)
-        position = self._entries.index(rule)
+        position = self._position(rule_id)
         updated = Rule(
             match=match if match is not None else rule.match,
             priority=rule.priority,
@@ -292,12 +308,9 @@ class TcamTable:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _insertion_position(self, priority: int) -> int:
-        """Index where a rule of ``priority`` lands: below its priority class."""
-        for index, resident in enumerate(self._entries):
-            if resident.priority < priority:
-                return index
-        return len(self._entries)
+    def _position(self, rule_id: int) -> int:
+        """Physical index of an installed rule, found by its key."""
+        return bisect_left(self._keys, self._key_of[rule_id])
 
     def __repr__(self) -> str:
         return (

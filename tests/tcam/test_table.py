@@ -160,6 +160,32 @@ class TestMutations:
         table.clear()
         assert table.occupancy == 0
 
+    def test_modify_and_delete_hit_only_the_named_rule_in_a_large_class(self):
+        # A FIB full of /24s: 2,000 rules in one priority class, found by id.
+        table = TcamTable(pica8_p3290(), capacity=2048)
+        fib = [rule(f"10.{index // 256}.{index % 256}.0/24", 24) for index in range(2000)]
+        for entry in fib:
+            table.insert(entry)
+        assert table.rules() == fib
+
+        target = fib[1234]
+        result = table.modify(target.rule_id, action=Action.output(9))
+        assert (result.position, result.shifts) == (1234, 0)
+        after = table.rules()
+        assert after[1234].rule_id == target.rule_id
+        assert after[1234].action == Action.output(9)
+        assert after[:1234] + after[1235:] == fib[:1234] + fib[1235:]
+
+        result = table.delete(target.rule_id)
+        assert (result.position, result.shifts) == (1234, 0)
+        assert target.rule_id not in table
+        assert table.rules() == fib[:1234] + fib[1235:]
+
+        # The class still places a newcomer at its bottom.
+        late = rule("11.0.0.0/24", 24)
+        assert table.insert(late).position == 1999
+        assert table.rules()[-1] == late
+
 
 class TestStats:
     def test_stats_accumulate(self, table):
