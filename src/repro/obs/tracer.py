@@ -73,6 +73,10 @@ class Tracer:
         """Record a gauge reading at sim time ``time``."""
         return None
 
+    def count(self, name: str, amount: float, help: str = "") -> None:
+        """Add ``amount`` to the work counter ``name`` (no trace record)."""
+        return None
+
     def add_listener(self, listener: Callable[[dict], None]) -> None:
         """No-op: a tracer that records nothing has nothing to deliver."""
         return None
@@ -219,6 +223,11 @@ class RecordingTracer(Tracer):
                 "attrs": dict(attrs),
             }
         )
+
+    def count(self, name: str, amount: float, help: str = "") -> None:
+        # Straight into the registry: a work counter is not a trace record,
+        # so counting leaves the trace (and its pinned digests) unchanged.
+        self.metrics.counter(name, help=help).inc(amount)
 
     def _emit(self, record: dict) -> None:
         self.records.append(record)

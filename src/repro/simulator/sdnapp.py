@@ -14,7 +14,7 @@ FlowMods, which is exactly the cost Hermes bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Optional
 
 from ..obs.tracer import get_tracer
 from ..topology.routing import Path, PathProvider, path_links_cached
@@ -80,6 +80,11 @@ class ProactiveTeApp:
         Utilization is updated incrementally as moves are chosen so one
         epoch's moves do not all pile onto the same cold link.  ``now`` is
         the sim time of the epoch, used only to timestamp trace events.
+
+        The work is indexed rather than rescanned: the flows crossing each
+        congested link are listed once, in ``current_paths`` order, and
+        path costs and per-path move decisions are memoized until the next
+        move changes the working utilization.
         """
         working_utilization: Dict[Link, float] = dict(utilization)
         congested = sorted(
@@ -98,6 +103,29 @@ class ProactiveTeApp:
                     congested=0, moves=0,
                 )
             return []
+        # Each hot link's flows, in admission order so the stable -rate sort
+        # below breaks ties exactly as a scan of current_paths would.  Paths
+        # are loop-free, so a flow is listed once per link.
+        crossing: Dict[Link, List[int]] = {link: [] for link in congested}
+        for flow_id, path in current_paths.items():
+            for link in path_links_cached(path):
+                flows_on_link = crossing.get(link)
+                if flows_on_link is not None:
+                    flows_on_link.append(flow_id)
+        # Valid until the next move: until then working_utilization is fixed.
+        # A current path fixes its flow's endpoints, hence its candidates.
+        path_costs: Dict[Path, float] = {}
+        decisions: Dict[Path, Optional[Path]] = {}
+        examined = costed = 0
+
+        def path_cost(path: Path) -> float:
+            nonlocal costed
+            cost = path_costs.get(path)
+            if cost is None:
+                cost = path_costs[path] = self._path_cost(path, working_utilization)
+                costed += 1
+            return cost
+
         moves: List[Reroute] = []
         moved_flows: set = set()
         for hot_link in congested:
@@ -105,36 +133,38 @@ class ProactiveTeApp:
                 break
             # Largest flows first: moving them relieves the most load.
             candidates = sorted(
-                (
-                    flow_id
-                    for flow_id, path in current_paths.items()
-                    if hot_link in path_links_cached(path) and flow_id not in moved_flows
-                ),
+                (flow_id for flow_id in crossing[hot_link] if flow_id not in moved_flows),
                 key=lambda flow_id: -rates.get(flow_id, 0.0),
             )
             for flow_id in candidates:
                 if len(moves) >= self.config.max_moves_per_epoch:
                     break
+                examined += 1
                 flow = flows[flow_id]
-                rate = rates.get(flow_id, 0.0)
                 current_path = current_paths[flow_id]
-                current_cost = self._path_cost(current_path, working_utilization)
-                best_path = None
-                best_cost = current_cost - IMPROVEMENT_MARGIN
-                for candidate in self.provider.paths(flow.source, flow.destination):
-                    if candidate == current_path:
-                        continue
-                    cost = self._path_cost(candidate, working_utilization)
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_path = candidate
+                if current_path in decisions:
+                    best_path = decisions[current_path]
+                else:
+                    best_path = None
+                    best_cost = path_cost(current_path) - IMPROVEMENT_MARGIN
+                    for candidate in self.provider.paths(flow.source, flow.destination):
+                        if candidate == current_path:
+                            continue
+                        cost = path_cost(candidate)
+                        if cost < best_cost:
+                            best_cost = cost
+                            best_path = candidate
+                    decisions[current_path] = best_path
                 if best_path is None:
                     continue
                 moves.append(Reroute(flow_id=flow_id, new_path=best_path))
                 moved_flows.add(flow_id)
                 self._shift_load(
-                    working_utilization, current_path, best_path, rate, capacities
+                    working_utilization, current_path, best_path,
+                    rates.get(flow_id, 0.0), capacities,
                 )
+                path_costs.clear()
+                decisions.clear()
                 if working_utilization.get(hot_link, 0.0) <= self.config.utilization_threshold:
                     break
         if tracer.enabled:
@@ -142,6 +172,10 @@ class ProactiveTeApp:
                 "te.plan", time=now, category="controller",
                 congested=len(congested), moves=len(moves),
             )
+            tracer.count(
+                "hermes_te_candidates_total", examined, help="TE candidate flows examined"
+            )
+            tracer.count("hermes_te_costed_total", costed, help="TE path costs computed")
         return moves
 
     @staticmethod

@@ -253,10 +253,15 @@ payload = json.dumps(
     [metrics.rits(), metrics.fcts(), sorted(metrics.jcts().items())]
 ).encode()
 trace_payload = "\n".join(trace_lines(tracer)).encode()
+te_work = [
+    tracer.metrics.counter(name).value()
+    for name in ("hermes_te_candidates_total", "hermes_te_costed_total")
+]
 print(json.dumps({
     "result": hashlib.sha256(payload).hexdigest(),
     "trace": hashlib.sha256(trace_payload).hexdigest(),
     "attributed_fraction": fraction,
+    "te_work": te_work,
 }))
 """
 
@@ -291,6 +296,11 @@ class TestProfilerParity:
         # ...and attaching the profiler changes neither metrics nor trace.
         assert on["result"] == off["result"]
         assert on["trace"] == off["trace"]
+        # The TE planner's work counters ride in the registry, outside the
+        # pinned trace: present, and identical with the profiler on or off.
+        candidates, costed = off["te_work"]
+        assert candidates > 0 and costed > 0
+        assert on["te_work"] == off["te_work"]
         # The profiled run attributes nearly all of its wall time.
         assert on["attributed_fraction"] >= 0.95
 
