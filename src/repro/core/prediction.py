@@ -10,7 +10,9 @@ the most effective.  All three are implemented here behind one interface.
 from __future__ import annotations
 
 import abc
+import struct
 from collections import deque
+from functools import lru_cache
 from typing import Deque, Optional
 
 import numpy as np
@@ -86,12 +88,25 @@ class CubicSplinePredictor(Predictor):
             return 0.0
         if len(self._samples) < 4:
             return max(0.0, self._samples[-1])
-        ys = np.asarray(self._samples, dtype=float)
-        xs = np.arange(len(ys), dtype=float)
-        spline = CubicSpline(xs, ys, bc_type="natural")
-        forecast = float(spline(len(ys)))
-        ceiling = self.clamp_factor * float(ys.max())
-        return float(np.clip(forecast, 0.0, ceiling))
+        window = struct.pack(f"{len(self._samples)}d", *self._samples)
+        return _spline_forecast(window, self.clamp_factor)
+
+
+@lru_cache(maxsize=4096)
+def _spline_forecast(window: bytes, clamp_factor: float) -> float:
+    """The clamped one-step natural-spline extrapolation of a packed window.
+
+    Rule Manager ticks see the same few windows over and over, so the fit
+    is memoized.  The key is the window's packed float64 bytes, exact to
+    the bit (``-0.0`` and ``0.0`` stay apart), so a cached forecast is the
+    one a fresh fit would return; the cache bound caps its memory.
+    """
+    ys = np.frombuffer(window, dtype=float)
+    xs = np.arange(len(ys), dtype=float)
+    spline = CubicSpline(xs, ys, bc_type="natural")
+    forecast = float(spline(len(ys)))
+    ceiling = clamp_factor * float(ys.max())
+    return float(np.clip(forecast, 0.0, ceiling))
 
 
 class ArmaPredictor(Predictor):

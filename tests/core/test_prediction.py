@@ -1,9 +1,12 @@
 """Tests for the EWMA / Cubic-Spline / ARMA predictors and correctors."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from repro.core import (
     ArmaPredictor,
@@ -91,6 +94,38 @@ class TestCubicSpline:
 
     def test_empty_predicts_zero(self):
         assert CubicSplinePredictor().predict() == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 3.0, 7.0]),
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            ),
+            min_size=4,
+            max_size=10,
+        ),
+        clamp_factor=st.sampled_from([1.0, 2.0, 3.0]),
+    )
+    def test_cached_forecast_is_bit_identical_to_a_fresh_fit(self, window, clamp_factor):
+        # The forecast is memoized per window; every call, cold or warm,
+        # and for the window with each zero's sign flipped, must return
+        # exactly the bits of a direct spline fit.
+        flipped = [-value if value == 0.0 else value for value in window]
+        for samples in (window, window, flipped):
+            predictor = CubicSplinePredictor(window=len(samples), clamp_factor=clamp_factor)
+            for value in samples:
+                predictor.update(value)
+            expected = _direct_spline_forecast(samples, clamp_factor)
+            assert struct.pack("d", predictor.predict()) == struct.pack("d", expected)
+
+
+def _direct_spline_forecast(samples, clamp_factor):
+    """The uncached fit: natural spline, one step past the end, clamped."""
+    ys = np.asarray(samples, dtype=float)
+    xs = np.arange(len(ys), dtype=float)
+    forecast = float(CubicSpline(xs, ys, bc_type="natural")(len(ys)))
+    return float(np.clip(forecast, 0.0, clamp_factor * float(ys.max())))
 
 
 class TestArma:
