@@ -22,8 +22,8 @@ Four measurements land in one JSON artifact (``BENCH_engine.json``):
   0.91× "speedup" from exactly that).  The artifact always records the
   honest timings and ``os.cpu_count()``.
 * **flow-state scaling curve** — :meth:`~repro.simulator.flowstate.
-  FlowStore.recompute` against the dict fill
-  (:func:`~repro.simulator.fairshare.max_min_fair_rates`) over the same
+  FlowStore.recompute` against the dict fill (``max_min_fair_rates``, the
+  test oracle in ``tests/simulator/reference_fill.py``) over the same
   paths, 1k → 1M flows, plus a full run with batched same-instant
   arrivals and a ``max_time`` cut that proves each size actually *runs*
   end to end.  The dict fill is measured up to
@@ -59,17 +59,14 @@ import numpy as np
 from repro.baselines import make_installer
 from repro.experiments.sensitivity import SensitivityConfig
 from repro.experiments.sensitivity import run as run_sensitivity
-from repro.simulator import (
-    Simulation,
-    SimulationConfig,
-    TeAppConfig,
-    max_min_fair_rates,
-)
+from repro.simulator import Simulation, SimulationConfig, TeAppConfig
 from repro.tcam import get_switch_model
 from repro.obs.perf.bench import write_bench_artifact
 from repro.topology import FatTreeSpec, build_fat_tree, hosts
 from repro.topology.routing import path_links_cached
 from repro.traffic.flows import FlowSpec
+
+from tests.simulator.reference_fill import max_min_fair_rates
 
 
 def _synthetic_flows(count, seed=11, size=5e6):

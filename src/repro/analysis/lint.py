@@ -36,7 +36,7 @@ Rules
     set expression (or whose annotation is ``set``/``Set[...]``) is
     treated as a set, and a *subscript* of a name annotated
     ``Dict[..., Set[...]]`` (the ``flows_on_link`` shape that once made
-    ``max_min_fair_rates``'s float accumulation hash-ordered) is treated
+    the dict fair-share fill's float accumulation hash-ordered) is treated
     as a set.  The same rule also covers environment/filesystem
     iteration order: ``os.environ`` (and its ``.keys()``/``.values()``/
     ``.items()`` views), ``os.listdir()``, ``os.scandir()``, and

@@ -28,7 +28,7 @@ back in.
 from .clock import Clock, SerialResource
 from .rng import RngStreams, child_seed
 from .scheduler import TIER_COMPLETION, TIER_DEFAULT, Event, EventScheduler
-from .sweep import SweepOutcome, SweepRunner, SweepTask
+from .sweep import SweepRunner
 from . import replay
 
 __all__ = [
@@ -37,9 +37,7 @@ __all__ = [
     "EventScheduler",
     "RngStreams",
     "SerialResource",
-    "SweepOutcome",
     "SweepRunner",
-    "SweepTask",
     "TIER_COMPLETION",
     "TIER_DEFAULT",
     "child_seed",

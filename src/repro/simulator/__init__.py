@@ -1,5 +1,6 @@
 """Varys: the flow-level network simulator and its components."""
 
+from ..topology.routing import Link
 from .controller import (
     InstallOutcome,
     InstallerFactory,
@@ -7,14 +8,7 @@ from .controller import (
     flow_match,
     flow_rule_priority,
 )
-from .fairshare import (
-    Link,
-    UNCONSTRAINED_RATE,
-    flow_sort_key,
-    link_utilization,
-    max_min_fair_rates,
-)
-from .flowstate import FlowStore, columnar_max_min_fair_rates
+from .flowstate import UNCONSTRAINED_RATE, FlowStore
 from .metrics import FlowRecord, MetricsCollector
 from .sdnapp import ProactiveTeApp, Reroute, TeAppConfig
 from .simulation import Simulation, SimulationConfig
@@ -33,10 +27,6 @@ __all__ = [
     "SimulationConfig",
     "TeAppConfig",
     "UNCONSTRAINED_RATE",
-    "columnar_max_min_fair_rates",
     "flow_match",
     "flow_rule_priority",
-    "flow_sort_key",
-    "link_utilization",
-    "max_min_fair_rates",
 ]

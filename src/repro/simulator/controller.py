@@ -37,6 +37,19 @@ from ..traffic.flows import FlowSpec
 InstallerFactory = Callable[[str, FaultInjector], RuleInstaller]
 
 
+def background_rules(count: int) -> List[Rule]:
+    """``count`` fresh background rules: /24 prefixes over 10.0.0.0/8 in
+    the low priority band 10..89, below every TE override rule."""
+    return [
+        Rule.from_prefix(
+            f"10.{(index // 256) % 256}.{index % 256}.0/24",
+            10 + (index % 80),
+            Action.output((index % 8) + 1),
+        )
+        for index in range(count)
+    ]
+
+
 def flow_match(flow: FlowSpec) -> TernaryMatch:
     """The exact-match TCAM key identifying one flow.
 
@@ -161,15 +174,7 @@ class SdnController:
         if rules_per_switch < 0:
             raise ValueError("rules_per_switch cannot be negative")
         for agent in self.agents.values():
-            background = [
-                Rule.from_prefix(
-                    f"10.{(index // 256) % 256}.{index % 256}.0/24",
-                    10 + (index % 80),
-                    Action.output((index % 8) + 1),
-                )
-                for index in range(rules_per_switch)
-            ]
-            agent.installer.prefill(background)
+            agent.installer.prefill(background_rules(rules_per_switch))
 
     # ------------------------------------------------------------------
     # Path programming

@@ -1,54 +1,124 @@
-"""Columnar flow state: the simulator's per-flow bookkeeping.
+"""Columnar flow state: the simulator's per-flow bookkeeping and its
+max-min fair-share fill.
+
+Varys is a flow-level simulator: instead of packets, every active flow gets
+a fluid rate, and the rates are the max-min fair allocation over the links
+its current path traverses, the standard model for long-lived TCP flows
+and the one the coflow simulators the paper builds on [29, 30] use.
 
 * :class:`FlowStore` holds remaining-bytes / rate / flag / blackhole
   columns as numpy arrays, plus a flat link×flow incidence structure
   (per-row segments of dense link ids — a CSR whose ``indptr`` is the
   ``(_seg_start, _seg_len)`` pair) rebuilt incrementally on path churn
   and compacted when completed rows dominate.
-* :meth:`FlowStore.recompute` fills rates with the dict progressive
-  filling of :func:`~repro.simulator.fairshare.max_min_fair_rates` on
-  small active sets and, from :data:`DICT_FILL_MAX_PAIRS` pairs up, with
-  :func:`_progressive_fill` — gather the active incidence, rank links by
+* :meth:`FlowStore.recompute` gathers the active incidence once, gives
+  rows with an empty path :data:`UNCONSTRAINED_RATE`, and fills the rest
+  by progressive filling over the gathered dense link ids: below
+  :data:`LIST_FILL_MAX_PAIRS` pairs with :func:`_list_fill` (plain Python
+  lists), from there up with :func:`_progressive_fill` (rank links by
   first encounter, then repeatedly freeze the bottleneck link's flows
-  with ``np.subtract.at``.  :func:`columnar_max_min_fair_rates` exposes
-  the vectorized fill with the dict fill's signature.
+  with ``np.subtract.at``).
 
-**Exactness contract.**  The vectorized fill is *bit-identical* to the
-dict fill, not merely close: capacities enter as the same doubles,
-per-iteration shares are the same ``remaining / count`` divisions,
-bottleneck ties break toward the first-encountered link exactly as the
-dict's insertion-ordered strict ``<`` scan does, and every frozen flow
-subtracts the *same* bottleneck share — so the accumulation order of the
-subtractions (``np.subtract.at`` applies them sequentially) cannot
-change any float.  ``tests/simulator/test_flowstate.py`` pins the
-equality with a hypothesis differential.
+**Exactness contract.**  The two fills are *bit-identical*, not merely
+close, to each other and to the textbook dict fill that
+``tests/simulator/reference_fill.py`` keeps as the oracle: capacities
+enter as the same doubles, per-iteration shares are the same
+``remaining / count`` divisions, bottleneck ties break toward the
+first-encountered link exactly as the dict's insertion-ordered strict
+``<`` scan does, and every frozen flow subtracts the *same* bottleneck
+share, so the order of the subtractions cannot change any float.
+``tests/simulator/test_flowstate.py`` pins the equality with a
+hypothesis differential over store churn, with each fill forced.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..topology.routing import Path, path_links_cached
-from .fairshare import Link, UNCONSTRAINED_RATE, max_min_fair_rates
+from ..topology.routing import Link, Path, path_links_cached
 
 #: Flag bits of the :class:`FlowStore` ``flags`` column.
 FLAG_ACTIVE = np.uint8(0x1)
 FLAG_HAS_RULES = np.uint8(0x2)
 FLAG_PENDING = np.uint8(0x4)
 
-#: :meth:`FlowStore.recompute` runs the dict fill
-#: (:func:`~repro.simulator.fairshare.max_min_fair_rates`) below this many
+#: Sentinel rate for flows whose path traverses no links (same-host
+#: transfers): effectively infinite.
+UNCONSTRAINED_RATE = 1e15
+
+#: :meth:`FlowStore.recompute` runs :func:`_list_fill` below this many
 #: active flow×link pairs and the vectorized :func:`_progressive_fill` at
 #: or above it.  numpy's fixed per-call cost loses on small active sets:
-#: on k=4 and k=8 fat trees and on Geant the vectorized fill overtakes
-#: between about 850 and 1150 pairs, while at Geant's typical ~300 pairs
-#: it is about 1.9x slower per call (docs/architecture.md has the table).
-#: Both fills give bit-identical rates, so the threshold moves only wall
-#: time.
-DICT_FILL_MAX_PAIRS = 1024
+#: on a k=4 fat tree and on Geant the vectorized fill overtakes near
+#: 3,000 pairs (docs/architecture.md has the table).  Both fills give
+#: bit-identical rates, so the threshold moves only wall time.
+LIST_FILL_MAX_PAIRS = 3000
+
+
+def _list_fill(
+    lens: Sequence[int], link_ids: Sequence[int], link_capacity: np.ndarray
+) -> List[float]:
+    """Progressive filling in plain Python lists, for small active sets.
+
+    Args:
+        lens: links per row, in row order (every entry at least 1).
+        link_ids: the rows' dense link ids, concatenated in row order.
+        link_capacity: capacity per dense link id.
+
+    Returns:
+        the rate per row, in row order.
+
+    Links are ranked by first encounter; each rank keeps its member rows
+    and a live count, and the bottleneck is the first rank with the
+    smallest ``remaining / live`` under a strict ``<`` scan in rank
+    order, the dict fill's insertion-ordered tie-break.
+    """
+    rank_of: Dict[int, int] = {}
+    remaining: List[float] = []
+    members: List[List[int]] = []
+    row_ranks: List[List[int]] = []
+    pos = 0
+    for row, length in enumerate(lens):
+        ranks = []
+        for link_id in link_ids[pos : pos + length]:
+            rank = rank_of.get(link_id)
+            if rank is None:
+                rank = rank_of[link_id] = len(remaining)
+                remaining.append(float(link_capacity[link_id]))
+                members.append([])
+            members[rank].append(row)
+            ranks.append(rank)
+        row_ranks.append(ranks)
+        pos += length
+    live = [len(rows) for rows in members]
+    rates = [0.0] * len(row_ranks)
+    frozen = [False] * len(row_ranks)
+    unfrozen = len(row_ranks)
+    while unfrozen:
+        bottleneck_share = None
+        bottleneck = -1
+        for rank, count in enumerate(live):
+            if count:
+                share = remaining[rank] / count
+                if bottleneck_share is None or share < bottleneck_share:
+                    bottleneck_share = share
+                    bottleneck = rank
+        if bottleneck < 0:
+            break
+        rate = bottleneck_share if bottleneck_share > 0.0 else 0.0
+        for row in members[bottleneck]:
+            if frozen[row]:
+                continue
+            frozen[row] = True
+            rates[row] = rate
+            unfrozen -= 1
+            for rank in row_ranks[row]:
+                remaining[rank] -= bottleneck_share
+                live[rank] -= 1
+    return rates
 
 
 def _progressive_fill(
@@ -63,8 +133,8 @@ def _progressive_fill(
 
     Args:
         rank_pairs: dense first-encounter link rank per incidence pair,
-            flow-major in path order (the order the dict backend builds
-            ``flows_on_link`` in).
+            flow-major in path order (the order :func:`_list_fill` ranks
+            links in).
         pair_pos: per pair, the position of its flow in the row ordering.
         n_rows: number of flows being filled.
         rem: remaining capacity per ranked link; mutated in place.
@@ -82,7 +152,7 @@ def _progressive_fill(
     no per-iteration pass over the surviving pair set.  The bit-exactness
     argument is order-free: every subtraction at a link removes the
     *same* ``bottleneck_share``, so any ordering of the dead pairs yields
-    the identical float sequence the dict backend produces.
+    the identical float sequence :func:`_list_fill` produces.
     """
     rates = np.zeros(n_rows, dtype=np.float64)
     counts = np.bincount(rank_pairs, minlength=n_links)
@@ -102,7 +172,7 @@ def _progressive_fill(
         share.fill(np.inf)
         np.divide(rem, counts, out=share, where=counts > 0)
         # Ranks are first-encounter order, so argmin's lowest-index tie
-        # win reproduces the dict backend's strict-< first-seen pick.
+        # win reproduces the list fill's strict-< first-seen pick.
         bottleneck = int(np.argmin(share))
         if not counts[bottleneck]:
             break  # every remaining link is flowless
@@ -114,67 +184,12 @@ def _progressive_fill(
             _gather_indices(row_start[frozen], row_len[frozen])
         ]
         # Sequential repeated subtraction of the *same* share — matching
-        # the dict backend's per-flow `remaining[link] -= share` loop
+        # the list fill's per-flow `remaining[rank] -= share` loop
         # bit-for-bit regardless of flow order.
         np.subtract.at(rem, dead_links, bottleneck_share)
         counts -= np.bincount(dead_links, minlength=n_links)
         rates[frozen] = bottleneck_share if bottleneck_share > 0.0 else 0.0
         remaining_pairs -= int(dead_links.size)
-    return rates
-
-
-def columnar_max_min_fair_rates(
-    flow_paths: Mapping[Hashable, object],
-    link_capacities: Mapping[Link, float],
-) -> Dict[Hashable, float]:
-    """Array-backed max-min fair rates, bit-identical to the dict backend.
-
-    Same signature and contract as
-    :func:`~repro.simulator.fairshare.max_min_fair_rates` (including the
-    ``KeyError`` on unknown links and the sentinel rate for empty paths);
-    paths that repeat a link — which :func:`~repro.topology.routing.
-    path_links` never produces — fall back to the reference backend so
-    the duplicate-subtraction semantics stay identical.
-
-    Raises:
-        KeyError: when a path uses a link with no declared capacity.
-    """
-    rates: Dict[Hashable, float] = {}
-    flow_ids: List[Hashable] = []
-    lens: List[int] = []
-    pair_links: List[int] = []
-    link_rank: Dict[Link, int] = {}
-    caps: List[float] = []
-    for flow_id, path in flow_paths.items():
-        links = list(path)
-        if not links:
-            rates[flow_id] = UNCONSTRAINED_RATE
-            continue
-        if len(set(links)) != len(links):
-            return max_min_fair_rates(flow_paths, link_capacities)
-        flow_ids.append(flow_id)
-        lens.append(len(links))
-        for link in links:
-            rank = link_rank.get(link)
-            if rank is None:
-                if link not in link_capacities:
-                    raise KeyError(f"flow {flow_id!r} uses unknown link {link}")
-                rank = link_rank[link] = len(caps)
-                caps.append(link_capacities[link])
-            pair_links.append(rank)
-    if not flow_ids:
-        return rates
-    rank_pairs = np.asarray(pair_links, dtype=np.int64)
-    pair_pos = np.repeat(
-        np.arange(len(flow_ids), dtype=np.int64),
-        np.asarray(lens, dtype=np.int64),
-    )
-    rem = np.asarray(caps, dtype=np.float64)
-    filled = _progressive_fill(
-        rank_pairs, pair_pos, len(flow_ids), rem, len(caps)
-    )
-    for pos, flow_id in enumerate(flow_ids):
-        rates[flow_id] = float(filled[pos])
     return rates
 
 
@@ -207,11 +222,7 @@ class FlowStore:
         self.link_capacity = np.array(
             [link_capacities[link] for link in links], dtype=np.float64
         )
-        self._capacity_by_id: Dict[int, float] = dict(
-            enumerate(self.link_capacity.tolist())
-        )
         self._path_arrays: Dict[Path, np.ndarray] = {}
-        self._path_ids: Dict[Path, Tuple[int, ...]] = {}
         capacity = max(int(capacity), 16)
         self._cap = capacity
         self.flow_id = np.zeros(capacity, dtype=np.int64)
@@ -279,7 +290,6 @@ class FlowStore:
                 ids.append(link_id)
             array = np.asarray(ids, dtype=np.int64)
             self._path_arrays[path] = array
-            self._path_ids[path] = tuple(ids)
         return array
 
     def _grow_rows(self) -> None:
@@ -486,31 +496,25 @@ class FlowStore:
     def recompute(self) -> None:
         """Recompute the rate column: max-min fair share.
 
-        Small active sets (fewer than :data:`DICT_FILL_MAX_PAIRS` pairs)
-        run the dict fill keyed by row with dense link ids as link keys;
-        larger ones run the vectorized fill.  Both are bit-identical — see
-        the module docstring's exactness contract.
+        Rows with an empty path get :data:`UNCONSTRAINED_RATE`.  The rest
+        run :func:`_list_fill` below :data:`LIST_FILL_MAX_PAIRS` pairs and
+        the vectorized fill from there up, both over the same gathered
+        dense link ids; they are bit-identical (see the module
+        docstring's exactness contract).
         """
-        rows = self.active_rows()
-        if rows.size == 0:
-            return
-        lens = self._seg_len[rows]
-        if int(lens.sum()) < DICT_FILL_MAX_PAIRS:
-            row_list = rows.tolist()
-            rates = max_min_fair_rates(
-                {row: self._path_ids[self._paths[row]] for row in row_list},
-                self._capacity_by_id,
-            )
-            self.rate[rows] = [rates[row] for row in row_list]
-            return
+        rows, lens, gathered = self._gather_active()
         empty = lens == 0
         if empty.any():
             self.rate[rows[empty]] = UNCONSTRAINED_RATE
             rows = rows[~empty]
             lens = lens[~empty]
-            if rows.size == 0:
-                return
-        gathered = self._seg_link[_gather_indices(self._seg_start[rows], lens)]
+        if rows.size == 0:
+            return
+        if gathered.size < LIST_FILL_MAX_PAIRS:
+            self.rate[rows] = _list_fill(
+                lens.tolist(), gathered.tolist(), self.link_capacity
+            )
+            return
         used, rank_pairs = _first_encounter_rank(gathered)
         # int32 pair columns: link ranks and row positions are tiny, and
         # the fill's radix sort and gathers are memory-bound — narrowing
@@ -527,10 +531,9 @@ class FlowStore:
         )
 
     def utilization(self) -> Dict[Link, float]:
-        """Per-link utilization, bit-identical to
-        :func:`~repro.simulator.fairshare.link_utilization` over the same
-        flows (values *and* dict insertion order, which TE planning
-        tie-breaks read)."""
+        """Per-link utilization of the links active flows cross, keyed in
+        first-encounter order (which TE planning tie-breaks read); links
+        with zero capacity are left out."""
         rows, lens, gathered = self._gather_active()
         if gathered.size == 0:
             return {}
@@ -556,7 +559,6 @@ class FlowStore:
         """
         link_id = self._link_id[link]
         self.link_capacity[link_id] = 0.0
-        self._capacity_by_id[link_id] = 0.0
 
     def flows_on_link(self, link: Link) -> List[int]:
         """Active flow ids whose path traverses ``link``, admission order."""
@@ -609,9 +611,8 @@ def _first_encounter_rank(gathered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     """Rank links by first encounter in the gathered pair stream.
 
     Returns ``(used, ranks)``: the raw link ids in first-encounter order,
-    and each pair's dense rank — the order the dict backend's
-    ``flows_on_link`` insertion gives, which is what bottleneck ties
-    break on.
+    and each pair's dense rank — the order :func:`_list_fill` ranks links
+    in, which is what bottleneck ties break on.
 
     Sort-free over the pairs: fancy assignment with duplicate indices
     writes in index-array order (last wins), so scattering reversed

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from ..obs.tracer import get_tracer
-from ..topology.routing import Path, PathProvider, path_links_cached
+from ..topology.routing import Link, Path, PathProvider, path_links_cached
 from ..traffic.flows import FlowSpec
-from .fairshare import Link
 
 # A move must reduce the flow's bottleneck utilization by at least this much
 # to be worth the FlowMods.

@@ -15,6 +15,8 @@ from typing import Dict, List, Tuple
 import networkx as nx
 
 Path = Tuple[str, ...]
+#: A canonically ordered (sorted) node pair: one undirected link.
+Link = Tuple[str, str]
 
 
 class PathProvider:
@@ -61,7 +63,7 @@ class PathProvider:
 
 
 @lru_cache(maxsize=None)
-def path_links_cached(path: Path) -> Tuple[Tuple[str, str], ...]:
+def path_links_cached(path: Path) -> Tuple[Link, ...]:
     """The (canonically ordered) links a path traverses, memoized.
 
     Paths are immutable tuples and the set of distinct paths is bounded
@@ -74,7 +76,7 @@ def path_links_cached(path: Path) -> Tuple[Tuple[str, str], ...]:
     return tuple(tuple(sorted((a, b))) for a, b in zip(path, path[1:]))
 
 
-def path_links(path: Path) -> List[Tuple[str, str]]:
+def path_links(path: Path) -> List[Link]:
     """The (canonically ordered) links a path traverses."""
     return list(path_links_cached(path))
 

@@ -20,7 +20,6 @@ from repro.engine import (
     RngStreams,
     SerialResource,
     SweepRunner,
-    SweepTask,
     child_seed,
 )
 
@@ -280,23 +279,13 @@ class TestSweepRunner:
         assert SweepRunner().map(_square, [(2,), (3,), (4,)]) == [4, 9, 16]
 
     def test_parallel_map_merges_in_task_order(self):
-        serial = SweepRunner(workers=1).map(_square, [(n,) for n in range(8)])
+        # 20 tasks on 2 workers ship in chunks of 3: order must survive
+        # both the chunking and the merge.
+        serial = SweepRunner(workers=1).map(_square, [(n,) for n in range(20)])
         parallel = SweepRunner(workers=2).map(
-            _square, [(n,) for n in range(8)]
+            _square, [(n,) for n in range(20)]
         )
         assert parallel == serial
-
-    def test_run_reports_labels_workers_and_timing(self):
-        outcome = SweepRunner(workers=1).run(
-            [
-                SweepTask(func=_square, args=(3,), label="three"),
-                SweepTask(func=_square, args=(4,), label="four"),
-            ]
-        )
-        assert outcome.results == [9, 16]
-        assert outcome.labels == ["three", "four"]
-        assert outcome.workers == 1
-        assert outcome.elapsed_seconds >= 0.0
 
     def test_task_errors_propagate(self):
         with pytest.raises(RuntimeError, match="boom"):
@@ -304,27 +293,7 @@ class TestSweepRunner:
         with pytest.raises(RuntimeError, match="boom"):
             SweepRunner(workers=2).map(_fail, [(1,), (2,)])
 
-    def test_chunksize_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SweepRunner(workers=2, chunksize=0)
-
-    def test_explicit_chunksize_preserves_task_order(self):
-        serial = SweepRunner(workers=1).map(_square, [(n,) for n in range(9)])
-        chunked = SweepRunner(workers=2, chunksize=4).map(
-            _square, [(n,) for n in range(9)]
-        )
-        assert chunked == serial
-
     def test_auto_chunksize_batches_tasks(self):
         # 2 workers -> ~8 chunks; 100 tasks -> 13 per chunk, not 1.
         assert SweepRunner(workers=2)._chunk_size_for(100) == 13
         assert SweepRunner(workers=2)._chunk_size_for(3) == 1
-        assert SweepRunner(workers=2, chunksize=5)._chunk_size_for(100) == 5
-
-    def test_chunked_run_preserves_heterogeneous_order(self):
-        tasks = [
-            SweepTask(func=_square, args=(n,), label=f"t{n}") for n in range(7)
-        ]
-        outcome = SweepRunner(workers=2, chunksize=3).run(tasks)
-        assert outcome.results == [n * n for n in range(7)]
-        assert outcome.labels == [f"t{n}" for n in range(7)]

@@ -1,20 +1,17 @@
-"""Max-min fair rate allocation (progressive filling).
+"""The dict fill: the oracle for ``FlowStore.recompute``.
 
-Varys is a flow-level simulator: instead of packets, every active flow gets
-a fluid rate, and the rates are the max-min fair allocation over the links
-its current path traverses — the standard model for long-lived TCP flows
-and the one the coflow simulators the paper builds on [29, 30] use.
+This is the textbook progressive filling the simulator ran before it
+filled from the store's dense incidence.  It keys flows and links by any
+hashable and keeps a set of flows per link.  Both of the store's fills
+(the list fill and the vectorized fill) must give exactly the same rates,
+bit for bit, and ``FlowStore.utilization`` must give exactly what
+:func:`link_utilization` gives, in the same key order.
 """
-
-from __future__ import annotations
 
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
-Link = Tuple[str, str]
-
-#: Sentinel rate for flows whose path traverses no links (same-host
-#: transfers): effectively infinite, shared with the columnar backend.
-UNCONSTRAINED_RATE = 1e15
+from repro.simulator.flowstate import UNCONSTRAINED_RATE
+from repro.topology.routing import Link
 
 
 def flow_sort_key(flow_id: Hashable) -> Tuple[str, Hashable]:
@@ -112,3 +109,36 @@ def link_utilization(
         for link in load
         if link_capacities.get(link, 0.0) > 0
     }
+
+
+def rates_by_fill(store) -> Dict[int, float]:
+    """``store.recompute()`` once with each fill forced; the rates per flow id.
+
+    Runs the list fill and then the vectorized fill on the same store and
+    asserts they agree bit for bit before returning the rates (in
+    admission order).
+    """
+    from repro.simulator import flowstate
+
+    saved = flowstate.LIST_FILL_MAX_PAIRS
+    filled = []
+    try:
+        for threshold in (1 << 62, 0):
+            flowstate.LIST_FILL_MAX_PAIRS = threshold
+            store.recompute()
+            filled.append(
+                {
+                    flow_id: float(store.rate[store.row(flow_id)])
+                    for flow_id in store.flow_ids()
+                }
+            )
+    finally:
+        flowstate.LIST_FILL_MAX_PAIRS = saved
+    listed, vectorized = filled
+    assert rate_bits(listed) == rate_bits(vectorized)
+    return listed
+
+
+def rate_bits(rates: Mapping[Hashable, float]) -> List[Tuple[Hashable, str]]:
+    """Rates as ``(flow id, float.hex())`` pairs: exact, and order-aware."""
+    return [(flow_id, float(rate).hex()) for flow_id, rate in rates.items()]

@@ -2,9 +2,11 @@
 
 Four layers of evidence that the columnar flow state is exact:
 
-* a hypothesis differential suite pinning the vectorized fair share
-  *bit-identical* (``==``, no tolerance) to the dict fill on random
-  topologies and workloads;
+* a hypothesis differential that drives a :class:`FlowStore` through
+  add/remove/``set_path``/``fail_link`` churn and compaction and, after
+  every step, pins both of its fills (list and vectorized, each forced)
+  *bit-identical* (no tolerance) to the dict-fill oracle in
+  ``reference_fill.py``, and its utilization to the oracle's;
 * FlowStore unit tests for the row lifecycle (stable compaction, path
   churn, flags, link failure);
 * whole-simulation pins: digests of the per-flow records, RITs and
@@ -13,10 +15,11 @@ Four layers of evidence that the columnar flow state is exact:
   TE, under a link failure, and across same-instant arrival bursts (the
   batched-recompute fast path), plus a second TE workload pinned from
   the event-driven completion mode;
-* the seed's chaos parity digests, reproduced with the vectorized fill
-  forced for every recompute.
+* the seed's chaos parity digests, reproduced with each fill forced for
+  every recompute.
 """
 
+import itertools
 import json
 import math
 
@@ -24,13 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import (
-    FlowStore,
-    UNCONSTRAINED_RATE,
-    columnar_max_min_fair_rates,
-    max_min_fair_rates,
-)
-from repro.simulator.flowstate import DICT_FILL_MAX_PAIRS
+from repro.simulator import UNCONSTRAINED_RATE, FlowStore
+from repro.simulator.flowstate import LIST_FILL_MAX_PAIRS
+from repro.topology.routing import path_links_cached
 from repro.traffic.flows import FlowSpec
 
 from tests.engine.test_parity import (
@@ -39,15 +38,12 @@ from tests.engine.test_parity import (
     _SCENARIO_SCRIPT,
     _run_script,
 )
-
-LINKS = [
-    ("a", "b"),
-    ("b", "c"),
-    ("c", "d"),
-    ("a", "d"),
-    ("b", "d"),
-    ("a", "c"),
-]
+from tests.simulator.reference_fill import (
+    link_utilization,
+    max_min_fair_rates,
+    rate_bits,
+    rates_by_fill,
+)
 
 
 def spec(flow_id, size=1e6, start=0.0, src="h0", dst="h1"):
@@ -57,72 +53,163 @@ def spec(flow_id, size=1e6, start=0.0, src="h0", dst="h1"):
     )
 
 
+NODES = ("a", "b", "c", "d", "e")
+ALL_LINKS = list(itertools.combinations(NODES, 2))
+# Capacities drawn from a short list so ties are common, and 0.0 is in it.
+CAPACITY = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 10.0, 1e9]),
+    st.floats(min_value=1e-3, max_value=1e12),
+)
+
+
+def simple_paths(links, max_hops=3):
+    """Every simple node path of 1..max_hops hops over ``links``, plus the
+    linkless path ``("a",)``."""
+    adjacent = {node: [] for node in NODES}
+    for u, v in links:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    paths = [("a",)]
+    frontier = [(node,) for node in NODES]
+    for _hop in range(max_hops):
+        frontier = [
+            path + (nxt,)
+            for path in frontier
+            for nxt in adjacent[path[-1]]
+            if nxt not in path
+        ]
+        paths.extend(frontier)
+    return paths
+
+
+def assert_store_matches_oracle(store, capacities):
+    """Both forced fills, and the utilization, equal the dict-fill oracle
+    bit for bit, row by row in admission order."""
+    flow_paths = {
+        flow_id: path_links_cached(store.path(flow_id))
+        for flow_id in store.flow_ids()
+    }
+    reference = max_min_fair_rates(flow_paths, capacities)
+    rates = rates_by_fill(store)
+    assert rate_bits(rates) == rate_bits(
+        {flow_id: reference[flow_id] for flow_id in flow_paths}
+    )
+    assert list(store.utilization().items()) == list(
+        link_utilization(flow_paths, reference, capacities).items()
+    )
+
+
 class TestColumnarFairShareDifferential:
-    """The vectorized filling is bit-identical to the dict backend."""
+    """The store's list and vectorized fills equal the dict-fill oracle."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        flow_paths=st.dictionaries(
-            st.integers(min_value=0, max_value=40),
-            st.lists(st.sampled_from(LINKS), max_size=4, unique=True),
-            max_size=25,
-        ),
-        capacities=st.fixed_dictionaries(
-            {
-                link: st.floats(
-                    min_value=1e-3, max_value=1e12, allow_nan=False
-                )
-                for link in LINKS
-            }
-        ),
-    )
-    def test_bit_identical_on_random_workloads(self, flow_paths, capacities):
-        reference = max_min_fair_rates(flow_paths, capacities)
-        columnar = columnar_max_min_fair_rates(flow_paths, capacities)
-        assert columnar == reference  # exact float equality, no tolerance
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        flow_ids=st.lists(
-            st.text(min_size=1, max_size=6), min_size=1, max_size=12,
+        links=st.lists(
+            st.sampled_from(ALL_LINKS), min_size=1, max_size=len(ALL_LINKS),
             unique=True,
-        )
+        ),
+        data=st.data(),
     )
-    def test_string_flow_ids_bit_identical(self, flow_ids):
-        flow_paths = {
-            flow_id: [LINKS[index % len(LINKS)]]
-            for index, flow_id in enumerate(flow_ids)
+    def test_bit_identical_on_random_workloads(self, links, data):
+        capacities = {link: data.draw(CAPACITY) for link in links}
+        paths = simple_paths(links)
+        path = st.sampled_from(paths)
+        store = FlowStore(capacities, capacity=16)
+        next_id = 0
+        compacted = False
+        steps = data.draw(
+            st.lists(
+                st.sampled_from(
+                    ["add", "add", "add", "remove", "set_path", "fail_link",
+                     "compact"]
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        for step in steps:
+            active = store.flow_ids()
+            high_water = store.size
+            if step == "add":
+                for new_path in data.draw(st.lists(path, min_size=1, max_size=6)):
+                    store.add(spec(next_id), new_path)
+                    next_id += 1
+                    high_water += 1
+            elif step == "remove" and active:
+                for flow_id in data.draw(
+                    st.lists(st.sampled_from(active), unique=True, max_size=8)
+                ):
+                    store.remove(flow_id)
+            elif step == "set_path" and active:
+                store.set_path(data.draw(st.sampled_from(active)), data.draw(path))
+            elif step == "fail_link":
+                failed = data.draw(st.sampled_from(links))
+                store.fail_link(failed)
+                capacities[failed] = 0.0
+            elif step == "compact":
+                store.compact()
+            compacted |= store.size < high_water
+            assert_store_matches_oracle(store, capacities)
+        # Long runs cross the 64-row compaction point inside ``add``;
+        # compact the rest so every example checks a compacted store.
+        if not compacted:
+            store.compact()
+            assert_store_matches_oracle(store, capacities)
+
+    def test_ties_break_toward_first_encountered_link(self):
+        # (a,b), (b,c) and (b,d) all start at share 1/3.  Freezing (a,b),
+        # the first-encountered tied link, first leaves flows 3 and 4 one
+        # ulp above 1/3; freezing (b,d) first would put the extra ulp on
+        # flows 0 and 1 instead.
+        capacities = {
+            ("a", "b"): 1.0, ("b", "c"): 1.0, ("b", "d"): 1.0, ("d", "e"): 1.0,
         }
-        capacities = {link: 7.5e8 for link in LINKS}
-        assert columnar_max_min_fair_rates(
-            flow_paths, capacities
-        ) == max_min_fair_rates(flow_paths, capacities)
+        store = FlowStore(capacities)
+        for flow_id, path in enumerate(
+            [("a", "b", "c"), ("a", "b", "c"), ("a", "b", "d"),
+             ("b", "d", "e"), ("c", "b", "d")]
+        ):
+            store.add(spec(flow_id), path)
+        assert_store_matches_oracle(store, capacities)
+        third = 1.0 / 3.0
+        assert rates_by_fill(store) == {
+            0: third, 1: third, 2: third,
+            3: math.nextafter(third, 1.0), 4: math.nextafter(third, 1.0),
+        }
 
     def test_zero_capacity_bottleneck(self):
-        flow_paths = {1: [LINKS[0], LINKS[1]], 2: [LINKS[1]]}
-        capacities = {LINKS[0]: 0.0, LINKS[1]: 10.0}
-        reference = max_min_fair_rates(flow_paths, capacities)
-        assert columnar_max_min_fair_rates(flow_paths, capacities) == reference
-        assert reference[1] == 0.0
+        capacities = {("a", "b"): 0.0, ("b", "c"): 10.0}
+        store = FlowStore(capacities)
+        store.add(spec(1), ("a", "b", "c"))
+        store.add(spec(2), ("b", "c"))
+        assert_store_matches_oracle(store, capacities)
+        assert rates_by_fill(store) == {1: 0.0, 2: 10.0}
 
     def test_empty_paths_get_sentinel_rate(self):
-        rates = columnar_max_min_fair_rates({1: [], 2: [LINKS[0]]}, {LINKS[0]: 4.0})
-        assert rates[1] == UNCONSTRAINED_RATE
-        assert rates[2] == 4.0
+        capacities = {("a", "b"): 4.0}
+        store = FlowStore(capacities)
+        store.add(spec(1), ("a",))
+        store.add(spec(2), ("a", "b"))
+        assert_store_matches_oracle(store, capacities)
+        assert rates_by_fill(store) == {1: UNCONSTRAINED_RATE, 2: 4.0}
 
     def test_unknown_link_raises_keyerror(self):
+        capacities = {("a", "b"): 1.0}
+        store = FlowStore(capacities)
+        store.add(spec(1), ("a", "b"))
         with pytest.raises(KeyError):
-            columnar_max_min_fair_rates({1: [("x", "y")]}, {LINKS[0]: 1.0})
+            store.set_path(1, ("a", "x"))
+        assert store.path(1) == ("a", "b")
+        assert_store_matches_oracle(store, capacities)
 
     def test_no_flows(self):
-        assert columnar_max_min_fair_rates({}, {LINKS[0]: 1.0}) == {}
-
-    def test_duplicate_link_paths_fall_back_to_reference(self):
-        flow_paths = {1: [LINKS[0], LINKS[0]], 2: [LINKS[0]]}
-        capacities = {LINKS[0]: 9.0}
-        assert columnar_max_min_fair_rates(
-            flow_paths, capacities
-        ) == max_min_fair_rates(flow_paths, capacities)
+        capacities = {("a", "b"): 1.0}
+        store = FlowStore(capacities)
+        assert_store_matches_oracle(store, capacities)
+        store.add(spec(1), ("a", "b"))
+        store.remove(1)
+        assert rates_by_fill(store) == {}
+        assert store.utilization() == {}
 
 
 class TestFlowStore:
@@ -257,8 +344,6 @@ class TestFlowStore:
         assert store.rate[store.row(1)] == 0.0
 
     def test_utilization_matches_reference(self):
-        from repro.simulator import link_utilization
-
         store = self.make()
         store.add(spec(1), ("a", "b", "c"))
         store.add(spec(2), ("b", "c"))
@@ -289,14 +374,14 @@ class TestFlowStore:
         assert flows[1].size == 6.0
 
     def test_dict_and_vectorized_fills_agree_across_threshold(self):
-        # One store filled below the threshold (dict fill), then grown
-        # past it (vectorized fill): both must match the reference.
+        # One store filled below the threshold (list fill), then grown
+        # past it (vectorized fill): both must match the dict fill.
         caps = {("a", "b"): 8.0, ("b", "c"): 4.0, ("c", "d"): 16.0}
         store = FlowStore(caps)
         paths = [("a", "b", "c"), ("b", "c", "d"), ("a", "b"), ("c", "d")]
         reference_paths = {}
         flow_id = 0
-        for target in (DICT_FILL_MAX_PAIRS // 2, DICT_FILL_MAX_PAIRS * 2):
+        for target in (LIST_FILL_MAX_PAIRS // 2, LIST_FILL_MAX_PAIRS * 2):
             while sum(len(links) for links in reference_paths.values()) < target:
                 path = paths[flow_id % len(paths)]
                 store.add(spec(flow_id), path)
@@ -445,17 +530,26 @@ class TestObjectsParityDigest:
     """The seed's object-backend chaos digests hold on the columnar store.
 
     ``tests/engine/test_parity`` checks the chaos scenario with the
-    default fill choice, where every fill is small enough for the dict
+    default fill choice, where every fill is small enough for the list
     fill. Here the vectorized fill is forced for every recompute, in a
     fresh interpreter, and the same pinned seed digests must come out.
     """
 
     SCRIPT = (
         "import repro.simulator.flowstate as _flowstate\n"
-        "_flowstate.DICT_FILL_MAX_PAIRS = 0\n" + _SCENARIO_SCRIPT
+        "_flowstate.LIST_FILL_MAX_PAIRS = 0\n" + _SCENARIO_SCRIPT
     )
 
     def test_chaos_objects_matches_seed_digests(self):
         digests = json.loads(_run_script(self.SCRIPT, "chaos"))
         assert digests["result"] == CHAOS_RESULT_DIGEST
         assert digests["trace"] == CHAOS_TRACE_DIGEST
+
+
+class TestObjectsParityDigestListFill(TestObjectsParityDigest):
+    """The same seed digests with the list fill forced for every recompute."""
+
+    SCRIPT = (
+        "import repro.simulator.flowstate as _flowstate\n"
+        "_flowstate.LIST_FILL_MAX_PAIRS = 1 << 62\n" + _SCENARIO_SCRIPT
+    )
