@@ -55,6 +55,10 @@ from .rule_manager import (
 # overlap scan (Fig 15(b) shows the insertion-side algorithms are cheap;
 # this keeps them so).
 PARTITION_LATENCY_PER_RULE = 2e-7
+# How long (seconds) Hermes stays degraded after the control channel's
+# circuit breaker opens: guaranteed rules demote to best-effort for this
+# window rather than pretending the guarantee still holds.
+DEGRADED_WINDOW = 1.0
 
 
 class _IndexSync:
@@ -98,10 +102,6 @@ class HermesConfig:
         verify_migrations: have the Rule Manager replay each migration's
             placement plan through the moveplan verifier before writing
             it; findings land in ``rule_manager.migration_violations``.
-        degraded_window: how long (seconds) Hermes stays degraded after the
-            control channel's circuit breaker opens — guaranteed rules
-            demote to best-effort for this window rather than pretending
-            the guarantee still holds.
     """
 
     guarantee: GuaranteeSpec = field(default_factory=lambda: GuaranteeSpec.milliseconds(5))
@@ -118,7 +118,6 @@ class HermesConfig:
     shadow_capacity: Optional[int] = None
     verify_migrations: bool = False
     auto_tune: bool = False
-    degraded_window: float = 1.0
 
     def build_corrector(self) -> Corrector:
         """Instantiate the configured corrector."""
@@ -281,17 +280,15 @@ class HermesInstaller(RuleInstaller):
     # ------------------------------------------------------------------
     # Degraded mode
     # ------------------------------------------------------------------
-    def enter_degraded(self, now: float, duration: Optional[float] = None) -> None:
-        """Suspend guarantees for ``duration`` seconds (default: the
-        configured ``degraded_window``).
+    def enter_degraded(self, now: float) -> None:
+        """Suspend guarantees for :data:`DEGRADED_WINDOW` seconds from ``now``.
 
         Wired to the resilient channel's ``on_breaker_open`` callback: when
         the switch stops acking, pretending the shadow path still meets its
         latency bound would be a lie — new guarantee-eligible rules demote
         to best-effort instead, with the honest ``"degraded"`` reason.
         """
-        window = duration if duration is not None else self.config.degraded_window
-        until = now + window
+        until = now + DEGRADED_WINDOW
         if self._degraded_until is None or until > self._degraded_until:
             self._degraded_until = until
         self.injector.log.record("degraded-enter", time=now, until=until)

@@ -16,13 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..analysis import ExperimentResult
-from ..core import GuaranteeSpec, HermesConfig
 from ..engine.sweep import SweepRunner
-from ..traffic import MicrobenchConfig, generate_trace, seed_rules
-from .common import replay_trace
+from ..traffic import MicrobenchConfig
+from .common import latency_stats, microbench_replay
 
 
 @dataclass
@@ -46,33 +43,21 @@ VARIANTS: Tuple[Tuple[str, dict], ...] = (
 
 def run_variant(overrides: dict, config: AblationConfig):
     """Replay the shared workload against one Hermes variant."""
-    hermes_config = HermesConfig(
-        guarantee=GuaranteeSpec.milliseconds(5),
-        slack=1.0,
-        admission_control=False,
-        **overrides,
-    )
     trace_config = MicrobenchConfig(
         arrival_rate=config.arrival_rate,
         overlap_rate=config.overlap_rate,
         duration=config.duration,
     )
-    outcome = replay_trace(
-        generate_trace(trace_config),
-        "hermes",
-        config.switch,
-        hermes_config=hermes_config,
-        prefill_rules=seed_rules(trace_config),
-    )
+    outcome = microbench_replay(config.switch, trace_config, **overrides)
+    mean_ms, p99_ms, violations = latency_stats(outcome)
     installer = outcome.installer
-    latencies = np.asarray(outcome.response_times)
     migrations = installer.rule_manager.migrations
     gap_time = sum(report.transient_gap_time for report in migrations)
     written = sum(report.rules_written for report in migrations)
     return {
-        "mean_ms": float(latencies.mean() * 1e3),
-        "p99_ms": float(np.percentile(latencies, 99) * 1e3),
-        "violations": installer.violation_percentage(),
+        "mean_ms": mean_ms,
+        "p99_ms": p99_ms,
+        "violations": violations,
         "migrations": len(migrations),
         "rules_written": written,
         "gap_ms": gap_time * 1e3,

@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..analysis import ExperimentResult
-from ..core import GuaranteeSpec, HermesConfig
-from ..traffic import MicrobenchConfig, generate_trace, seed_rules
-from .common import replay_trace
+from ..traffic import MicrobenchConfig
+from .common import latency_stats, microbench_replay
 
 
 @dataclass
@@ -39,37 +36,27 @@ class AutotuneConfig:
 
 def run_variant(label: str, config: AutotuneConfig, **hermes_overrides):
     """One (configuration, workload) run; returns the row for the table."""
-    hermes_config = HermesConfig(
-        guarantee=GuaranteeSpec.milliseconds(5),
-        admission_control=False,
-        lowest_priority_fastpath=False,
-        **hermes_overrides,
-    )
     trace_config = MicrobenchConfig(
         arrival_rate=config.arrival_rate,
         overlap_rate=config.overlap_rate,
         duration=config.duration,
     )
-    outcome = replay_trace(
-        generate_trace(trace_config),
-        "hermes",
-        config.switch,
-        hermes_config=hermes_config,
-        prefill_rules=seed_rules(trace_config),
+    outcome = microbench_replay(
+        config.switch, trace_config, lowest_priority_fastpath=False, **hermes_overrides
     )
+    mean_ms, p99_ms, violations = latency_stats(outcome)
     installer = outcome.installer
-    latencies = np.asarray(outcome.response_times)
     if installer.auto_tuner is not None:
         final_slack = installer.auto_tuner.slack
         adjustments = len(installer.auto_tuner.adjustments)
     else:
-        final_slack = hermes_config.slack
+        final_slack = installer.config.slack
         adjustments = 0
     return (
         label,
-        round(float(latencies.mean() * 1e3), 3),
-        round(float(np.percentile(latencies, 99) * 1e3), 3),
-        round(installer.violation_percentage(), 2),
+        round(mean_ms, 3),
+        round(p99_ms, 3),
+        round(violations, 2),
         round(final_slack, 3),
         adjustments,
     )

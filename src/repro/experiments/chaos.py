@@ -23,20 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..analysis import ExperimentResult, verify_installer
 from ..analysis.violations import DUPLICATE_ENTRY, PRIORITY_INVERSION
-from ..baselines import make_installer
 from ..engine.sweep import SweepRunner
 from ..faults import FaultPlan, FlowModFault, TcamWriteFault
 from ..obs import OnlineVerifier, RecordingTracer, use_tracer
 from ..simulator import Simulation, SimulationConfig, TeAppConfig
 from ..switchsim import ChannelConfig
-from ..tcam import get_switch_model
-from ..topology import FatTreeSpec, build_fat_tree, hosts
-from ..traffic import flows_of, generate_jobs
-from .common import default_hermes_config
+from .common import WorkloadScale, facebook_workload, installer_factory
 
 SCHEMES: Tuple[Tuple[str, str, str], ...] = (
     ("raw switch", "naive", "naive"),
@@ -94,15 +88,13 @@ def build_simulation(
     that want a trace install a recording tracer around the *call*
     (agents capture the ambient tracer when built).
     """
-    graph = build_fat_tree(
-        FatTreeSpec(k=config.fat_tree_k, link_capacity=config.link_capacity)
-    )
-    flows = flows_of(
-        generate_jobs(
-            hosts(graph),
+    graph, flows, _short, _long = facebook_workload(
+        WorkloadScale(
+            fat_tree_k=config.fat_tree_k,
+            link_capacity=config.link_capacity,
             job_count=config.job_count,
-            arrival_rate=6.0,
-            rng=np.random.default_rng(config.seed),
+            job_arrival_rate=6.0,
+            seed=config.seed,
         )
     )
     plan = FaultPlan(
@@ -122,15 +114,9 @@ def build_simulation(
         fault_plan=plan,
         fault_seed=config.seed,
     )
-    timing = get_switch_model(config.switch)
-    hermes_config = default_hermes_config() if scheme == "hermes" else None
-
-    def factory(switch_name, injector):
-        return make_installer(
-            scheme, timing, hermes_config=hermes_config, injector=injector
-        )
-
-    return Simulation(graph, flows, factory, sim_config)
+    return Simulation(
+        graph, flows, installer_factory(scheme, config.switch), sim_config
+    )
 
 
 def run_cell(

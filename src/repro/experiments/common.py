@@ -4,12 +4,18 @@ Every experiment module exposes ``run(config) -> ExperimentResult`` with a
 config dataclass defaulting to a *quick* scale that completes in seconds
 (the benchmarks use it).  Passing ``full=True`` moves to paper scale (k=16
 fat tree, thousands of jobs); the shapes are identical, the tails longer.
+
+Figures build their rows from *cells*: :func:`run_te_cell` runs one
+(workload, scheme, switch) simulation and :func:`microbench_replay` one
+Hermes variant on a microbench trace.  A cell is a pure function of its
+arguments — it builds its own workload, whose flow and job ids are the
+workload's own — so a row does not depend on what the process ran before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -23,14 +29,17 @@ from ..switchsim import SwitchAgent
 from ..tcam import get_switch_model
 from ..topology import FatTreeSpec, build_fat_tree, get_isp_topology, hosts, pops
 from ..traffic import (
+    MicrobenchConfig,
     TimedFlowMod,
     flows_from_matrix,
     flows_of,
     generate_jobs,
+    generate_trace,
     gravity_matrix,
     is_short_job,
-    tomogravity_matrix,
     link_loads_from_matrix,
+    seed_rules,
+    tomogravity_matrix,
 )
 
 SWITCHES_UNDER_TEST = ("dell-8132f", "hp-5406zl", "pica8-p3290")
@@ -216,6 +225,45 @@ def run_te_simulation(
     return metrics, simulation
 
 
+def te_workload(name: str, scale: WorkloadScale = QUICK_SCALE):
+    """One TE workload by name, with the simulation config it runs under.
+
+    ``"facebook"`` is the MapReduce job stream on a fat tree; any other
+    name is an ISP topology (:func:`isp_workload`) under the 10 ms WAN
+    control RTT.  Returns ``(graph, flows, config, short_ids)``;
+    ``short_ids`` holds the short jobs' ids and is empty for an ISP.
+    """
+    if name == "facebook":
+        graph, flows, short_ids, _long = facebook_workload(scale)
+        return graph, flows, te_simulation_config(scale), short_ids
+    graph, flows = isp_workload(name, scale)
+    return graph, flows, te_simulation_config(scale, control_rtt=10e-3), set()
+
+
+def run_te_cell(
+    workload: str, scheme: str, switch: str, scale: WorkloadScale = QUICK_SCALE
+):
+    """One (workload, scheme, switch) TE cell; returns its metrics.
+
+    The cell builds its own workload with :func:`te_workload`; Hermes runs
+    its default (the paper's) configuration.  Module-level, so a process
+    pool can map it.
+    """
+    graph, flows, config, _short = te_workload(workload, scale)
+    metrics, _ = run_te_simulation(graph, flows, scheme, switch, config=config)
+    return metrics
+
+
+def te_lineup(hermes_switch: str) -> Tuple[Tuple[str, str, str], ...]:
+    """The ``(label, scheme, switch)`` cells of Figures 8 and 9: every raw
+    switch under test, then Hermes on ``hermes_switch``."""
+    raw = tuple(
+        (get_switch_model(switch).name, "naive", switch)
+        for switch in SWITCHES_UNDER_TEST
+    )
+    return raw + (("Hermes", "hermes", hermes_switch),)
+
+
 # ----------------------------------------------------------------------
 # Canned scenarios (shared by the race CLI, the perf CLI, and CI)
 # ----------------------------------------------------------------------
@@ -233,22 +281,13 @@ def canned_scenario(name: str):
     not move.  Callers that want a trace install a recording tracer
     around the *call* (agents capture the ambient tracer when built).
     """
-    if name == "fig01":
-        scale = WorkloadScale(job_count=10)
-        graph, flows, _short, _long = facebook_workload(scale)
-        config = te_simulation_config(scale)
-        factory = installer_factory(
-            "hermes", "pica8-p3290", default_hermes_config(), seed=100
-        )
-        simulation = Simulation(graph, list(flows), factory, config)
-        meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
-    elif name == "fig08":
-        scale = WorkloadScale(isp_flow_duration=3.0)
-        graph, flows = isp_workload("geant", scale)
-        config = te_simulation_config(scale, control_rtt=10e-3)
-        factory = installer_factory(
-            "hermes", "pica8-p3290", default_hermes_config(), seed=100
-        )
+    te_cells = {
+        "fig01": ("facebook", WorkloadScale(job_count=10)),
+        "fig08": ("geant", WorkloadScale(isp_flow_duration=3.0)),
+    }
+    if name in te_cells:
+        graph, flows, config, _short = te_workload(*te_cells[name])
+        factory = installer_factory("hermes", "pica8-p3290", seed=100)
         simulation = Simulation(graph, list(flows), factory, config)
         meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
     elif name in ("demo", "chaos"):
@@ -367,4 +406,37 @@ def replay_trace(
         response_times=response_times,
         execution_latencies=execution_latencies,
         agent=agent,
+    )
+
+
+def microbench_replay(
+    switch: str,
+    trace_config: MicrobenchConfig,
+    trace: Optional[Sequence[TimedFlowMod]] = None,
+    **hermes_overrides,
+) -> ReplayOutcome:
+    """One microbench cell: Hermes on ``switch`` replays a trace.
+
+    The trace defaults to ``generate_trace(trace_config)``; the table is
+    prefilled with ``seed_rules(trace_config)`` either way.  Hermes runs
+    ``HermesConfig(admission_control=False, **hermes_overrides)``:
+    admission control is off because the microbenches stress the
+    migration policy, and diverting load at the gate would mask it.
+    """
+    return replay_trace(
+        generate_trace(trace_config) if trace is None else trace,
+        "hermes",
+        switch,
+        hermes_config=HermesConfig(admission_control=False, **hermes_overrides),
+        prefill_rules=seed_rules(trace_config),
+    )
+
+
+def latency_stats(outcome: ReplayOutcome) -> Tuple[float, float, float]:
+    """(mean ms, p99 ms, violation %) of a Hermes replay."""
+    latencies = np.asarray(outcome.response_times)
+    return (
+        float(latencies.mean() * 1e3),
+        float(np.percentile(latencies, 99) * 1e3),
+        outcome.installer.violation_percentage(),
     )

@@ -20,12 +20,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ..analysis import ExperimentResult
-from ..baselines import make_installer
 from ..simulator import Simulation, SimulationConfig, TeAppConfig
-from ..tcam import get_switch_model
-from ..topology import FatTreeSpec, build_fat_tree, hosts
-from ..traffic import flows_of, generate_jobs
-from .common import default_hermes_config
+from .common import WorkloadScale, facebook_workload, installer_factory
 
 SCHEMES: Tuple[Tuple[str, str, str], ...] = (
     ("zero-latency", "naive", "ideal"),
@@ -62,16 +58,14 @@ def _failure_schedule(graph, config: FailoverConfig):
 
 
 def run_scheme(label: str, scheme: str, switch: str, config: FailoverConfig):
-    """One scheme's run; returns (blackhole seconds, repair RIT p99 ms)."""
-    graph = build_fat_tree(
-        FatTreeSpec(k=config.fat_tree_k, link_capacity=config.link_capacity)
-    )
-    flows = flows_of(
-        generate_jobs(
-            hosts(graph),
+    """One scheme's run; returns (blackhole seconds, repair RIT p99 ms, repairs)."""
+    graph, flows, _short, _long = facebook_workload(
+        WorkloadScale(
+            fat_tree_k=config.fat_tree_k,
+            link_capacity=config.link_capacity,
             job_count=config.job_count,
-            arrival_rate=6.0,
-            rng=np.random.default_rng(config.seed),
+            job_arrival_rate=6.0,
+            seed=config.seed,
         )
     )
     sim_config = SimulationConfig(
@@ -80,12 +74,9 @@ def run_scheme(label: str, scheme: str, switch: str, config: FailoverConfig):
         max_time=600.0,
         link_failures=_failure_schedule(graph, config),
     )
-    hermes_config = default_hermes_config() if scheme == "hermes" else None
-    factory = lambda name, injector: make_installer(
-        scheme, get_switch_model(switch), hermes_config=hermes_config,
-        injector=injector,
+    simulation = Simulation(
+        graph, flows, installer_factory(scheme, switch), sim_config
     )
-    simulation = Simulation(graph, flows, factory, sim_config)
     metrics = simulation.run()
     rits = metrics.rits()
     p99 = float(np.percentile(rits, 99) * 1e3) if rits else 0.0

@@ -22,10 +22,8 @@ from .common import (
     QUICK_SCALE,
     FULL_SCALE,
     WorkloadScale,
-    default_hermes_config,
     facebook_workload,
-    run_te_simulation,
-    te_simulation_config,
+    run_te_cell,
 )
 
 SCHEMES: Tuple[Tuple[str, str], ...] = (
@@ -52,25 +50,12 @@ class Fig01Config:
 
 def run(config: Fig01Config = Fig01Config()) -> ExperimentResult:
     """Regenerate the Figure 1 CDFs (reported at fixed percentiles)."""
-    graph, flows, short_ids, long_ids = facebook_workload(config.scale)
-    sim_config = te_simulation_config(config.scale)
-
-    baseline_metrics, _ = run_te_simulation(
-        graph, flows, "naive", "ideal", config=sim_config
-    )
-    baseline_jcts = baseline_metrics.jcts()
+    _graph, _flows, short_ids, long_ids = facebook_workload(config.scale)
+    baseline_jcts = run_te_cell("facebook", "naive", "ideal", config.scale).jcts()
 
     rows: List[tuple] = []
     for label, scheme in SCHEMES:
-        metrics, _ = run_te_simulation(
-            graph,
-            flows,
-            scheme,
-            config.switch,
-            hermes_config=default_hermes_config() if scheme == "hermes" else None,
-            config=sim_config,
-        )
-        jcts = metrics.jcts()
+        jcts = run_te_cell("facebook", scheme, config.switch, config.scale).jcts()
         for job_class, ids in (("short", short_ids), ("long", long_ids)):
             class_baseline = {j: baseline_jcts[j] for j in baseline_jcts if j in ids}
             class_subject = {j: jcts[j] for j in jcts if j in ids}

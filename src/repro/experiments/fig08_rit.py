@@ -12,19 +12,10 @@ with long tails; Hermes's distribution is compressed near its guarantee
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..analysis import ExperimentResult, median_improvement, percentile_summary
-from .common import (
-    QUICK_SCALE,
-    SWITCHES_UNDER_TEST,
-    WorkloadScale,
-    default_hermes_config,
-    facebook_workload,
-    isp_workload,
-    run_te_simulation,
-    te_simulation_config,
-)
+from .common import QUICK_SCALE, WorkloadScale, run_te_cell, te_lineup
 
 
 @dataclass
@@ -37,36 +28,6 @@ class Fig08Config:
     percentiles: Tuple[float, ...] = (50, 90, 95, 99)
 
 
-def collect_rits(
-    workload: str, scale: WorkloadScale, hermes_switch: str
-) -> Dict[str, List[float]]:
-    """RIT samples per scheme for one workload."""
-    if workload == "facebook":
-        graph, flows, _, _ = facebook_workload(scale)
-        sim_config = te_simulation_config(scale)
-    else:
-        graph, flows = isp_workload(workload, scale)
-        sim_config = te_simulation_config(scale, control_rtt=10e-3)  # WAN RTT
-    series: Dict[str, List[float]] = {}
-    for switch in SWITCHES_UNDER_TEST:
-        metrics, _ = run_te_simulation(
-            graph, flows, "naive", switch, config=sim_config
-        )
-        from ..tcam import get_switch_model
-
-        series[get_switch_model(switch).name] = metrics.rits()
-    hermes_metrics, _ = run_te_simulation(
-        graph,
-        flows,
-        "hermes",
-        hermes_switch,
-        hermes_config=default_hermes_config(),
-        config=sim_config,
-    )
-    series["Hermes"] = hermes_metrics.rits()
-    return series
-
-
 def run(config: Fig08Config = Fig08Config()) -> ExperimentResult:
     """Regenerate the Figure 8 CDFs (reported at fixed percentiles)."""
     rows: List[tuple] = []
@@ -75,9 +36,13 @@ def run(config: Fig08Config = Fig08Config()) -> ExperimentResult:
         "long tails; Hermes compresses the distribution near its 5 ms",
         "guarantee. Median improvements vs. each raw switch:",
     ]
+    lineup = te_lineup(config.hermes_switch)
     for workload in config.workloads:
-        series = collect_rits(workload, config.scale, config.hermes_switch)
-        hermes_rits = series.get("Hermes", [])
+        series = {
+            label: run_te_cell(workload, scheme, switch, config.scale).rits()
+            for label, scheme, switch in lineup
+        }
+        hermes_rits = series["Hermes"]
         for scheme, rits in series.items():
             if not rits:
                 continue
@@ -86,7 +51,7 @@ def run(config: Fig08Config = Fig08Config()) -> ExperimentResult:
                 (workload, scheme, len(rits))
                 + tuple(round(summary[p] * 1e3, 3) for p in config.percentiles)
             )
-            if scheme != "Hermes" and hermes_rits and rits:
+            if scheme != "Hermes" and hermes_rits:
                 improvement = median_improvement(rits, hermes_rits)
                 notes_lines.append(
                     f"  {workload}/{scheme}: {100 * improvement:.0f}%"

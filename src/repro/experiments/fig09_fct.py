@@ -13,17 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..analysis import ExperimentResult, percentile_summary
-from ..tcam import get_switch_model
-from .common import (
-    QUICK_SCALE,
-    SWITCHES_UNDER_TEST,
-    WorkloadScale,
-    default_hermes_config,
-    facebook_workload,
-    isp_workload,
-    run_te_simulation,
-    te_simulation_config,
-)
+from .common import QUICK_SCALE, WorkloadScale, run_te_cell, te_lineup, te_workload
 
 
 @dataclass
@@ -35,65 +25,37 @@ class Fig09Config:
     percentiles: Tuple[float, ...] = (50, 90, 95)
 
 
-def _fct_series(metrics, short_ids) -> Dict[str, List[float]]:
-    all_fcts: List[float] = []
-    short_fcts: List[float] = []
-    for record in metrics.flow_records():
-        if not record.completed:
-            continue
-        all_fcts.append(record.fct)
-        if record.spec.job_id in short_ids:
-            short_fcts.append(record.fct)
-    return {"all": all_fcts, "short": short_fcts}
+def _fct_panels(workload: str, metrics, short_ids) -> Dict[str, List[float]]:
+    """Completed-flow FCTs per panel: Facebook splits all/short jobs."""
+    if workload != "facebook":
+        return {workload: metrics.fcts()}
+    short_fcts = [
+        record.fct
+        for record in metrics.flow_records()
+        if record.completed and record.spec.job_id in short_ids
+    ]
+    return {"facebook/all": metrics.fcts(), "facebook/short": short_fcts}
 
 
 def run(config: Fig09Config = Fig09Config()) -> ExperimentResult:
-    """Regenerate the Figure 9 CDFs (reported at fixed percentiles)."""
+    """Regenerate the Figure 9 CDFs (reported at fixed percentiles).
+
+    Panels (a) and (b) are Facebook, all jobs and short jobs; panel (c)
+    is Geant.
+    """
     rows: List[tuple] = []
-
-    # Panels (a) and (b): Facebook, all jobs and short jobs.
-    graph, flows, short_ids, _ = facebook_workload(config.scale)
-    sim_config = te_simulation_config(config.scale)
-    runs = [(sw, "naive", get_switch_model(sw).name) for sw in SWITCHES_UNDER_TEST]
-    runs.append((config.hermes_switch, "hermes", "Hermes"))
-    for switch, scheme, label in runs:
-        metrics, _ = run_te_simulation(
-            graph,
-            flows,
-            scheme,
-            switch,
-            hermes_config=default_hermes_config() if scheme == "hermes" else None,
-            config=sim_config,
-        )
-        for panel, fcts in _fct_series(metrics, short_ids).items():
-            if not fcts:
-                continue
-            summary = percentile_summary(fcts, config.percentiles)
-            rows.append(
-                (f"facebook/{panel}", label, len(fcts))
-                + tuple(round(summary[p], 4) for p in config.percentiles)
-            )
-
-    # Panel (c): Geant.
-    graph, flows = isp_workload("geant", config.scale)
-    wan_config = te_simulation_config(config.scale, control_rtt=10e-3)
-    for switch, scheme, label in runs:
-        metrics, _ = run_te_simulation(
-            graph,
-            flows,
-            scheme,
-            switch,
-            hermes_config=default_hermes_config() if scheme == "hermes" else None,
-            config=wan_config,
-        )
-        fcts = metrics.fcts()
-        if not fcts:
-            continue
-        summary = percentile_summary(fcts, config.percentiles)
-        rows.append(
-            ("geant", label, len(fcts))
-            + tuple(round(summary[p], 4) for p in config.percentiles)
-        )
+    for workload in ("facebook", "geant"):
+        short_ids = te_workload(workload, config.scale)[3]
+        for label, scheme, switch in te_lineup(config.hermes_switch):
+            metrics = run_te_cell(workload, scheme, switch, config.scale)
+            for panel, fcts in _fct_panels(workload, metrics, short_ids).items():
+                if not fcts:
+                    continue
+                summary = percentile_summary(fcts, config.percentiles)
+                rows.append(
+                    (panel, label, len(fcts))
+                    + tuple(round(summary[p], 4) for p in config.percentiles)
+                )
 
     headers = ["panel", "scheme", "n"] + [f"p{int(p)} (s)" for p in config.percentiles]
     return ExperimentResult(

@@ -26,7 +26,7 @@ from ..analysis import ExperimentResult
 from ..switchsim import FlowMod
 from ..tcam import Action, Rule
 from ..traffic import TimedFlowMod
-from .common import default_hermes_config, replay_trace
+from .common import replay_trace
 
 SCHEMES: Tuple[Tuple[str, str], ...] = (
     ("Tango", "tango"),
@@ -109,7 +109,6 @@ def installation_series(
             trace,
             scheme,
             config.switch,
-            hermes_config=default_hermes_config() if scheme == "hermes" else None,
             batch_window=config.batch_interval / 2,
             seed=config.seed,
         )

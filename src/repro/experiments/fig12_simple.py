@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..analysis import ExperimentResult
-from ..core import GuaranteeSpec, HermesConfig
-from ..traffic import MicrobenchConfig, generate_trace, seed_rules
-from .common import SWITCHES_UNDER_TEST, replay_trace
+from ..traffic import MicrobenchConfig
+from .common import SWITCHES_UNDER_TEST, microbench_replay
 
 
 @dataclass
@@ -38,34 +37,14 @@ class Fig12Config:
     )
 
 
-def _hermes_config(threshold: float = None) -> HermesConfig:
-    """Hermes-SIMPLE at ``threshold``, or regular Hermes when None.
-
-    Admission control is disabled: the experiment stresses the migration
-    policy, so diverting load at the gate would mask the comparison.
-    """
-    return HermesConfig(
-        guarantee=GuaranteeSpec.milliseconds(5),
-        threshold=threshold,
-        corrector="slack",
-        slack=1.0,
-        admission_control=False,
-        # The microbench studies the shadow/migration machinery; the
-        # lowest-priority fastpath would route the (deliberately
-        # low-priority) overlap rules around it.
-        lowest_priority_fastpath=False,
-    )
-
-
 def run_one(switch: str, threshold, trace_config: MicrobenchConfig):
-    """(violation %, migrations/s) for one switch and migration policy."""
-    trace = generate_trace(trace_config)
-    outcome = replay_trace(
-        trace,
-        "hermes",
-        switch,
-        hermes_config=_hermes_config(threshold),
-        prefill_rules=seed_rules(trace_config),
+    """(violation %, migrations/s) for one switch and migration policy:
+    Hermes-SIMPLE at ``threshold``, or regular Hermes when None."""
+    # The microbench studies the shadow/migration machinery; the
+    # lowest-priority fastpath would route the (deliberately low-priority)
+    # overlap rules around it.
+    outcome = microbench_replay(
+        switch, trace_config, threshold=threshold, lowest_priority_fastpath=False
     )
     installer = outcome.installer
     violations = installer.violation_percentage()

@@ -16,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..analysis import ExperimentResult
-from ..core import GuaranteeSpec, HermesConfig
-from ..traffic import MicrobenchConfig, generate_trace, seed_rules
-from .common import replay_trace
+from ..traffic import MicrobenchConfig
+from .common import latency_stats, microbench_replay
 
 
 @dataclass
@@ -44,28 +41,10 @@ def run_point(
         overlap_rate=overlap_rate,
         duration=duration,
     )
-    hermes_config = HermesConfig(
-        guarantee=GuaranteeSpec.milliseconds(5),
-        predictor="cubic-spline",
-        corrector="slack",
-        slack=slack,
-        admission_control=False,
-        lowest_priority_fastpath=False,
+    outcome = microbench_replay(
+        switch, trace_config, slack=slack, lowest_priority_fastpath=False
     )
-    outcome = replay_trace(
-        generate_trace(trace_config),
-        "hermes",
-        switch,
-        hermes_config=hermes_config,
-        prefill_rules=seed_rules(trace_config),
-    )
-    latencies = np.asarray(outcome.response_times)
-    installer = outcome.installer
-    return (
-        float(latencies.mean() * 1e3),
-        float(np.percentile(latencies, 99) * 1e3),
-        installer.violation_percentage(),
-    )
+    return latency_stats(outcome)
 
 
 def run(config: Fig13Config = Fig13Config()) -> ExperimentResult:

@@ -19,10 +19,9 @@ from typing import List, Tuple
 import numpy as np
 
 from ..analysis import ExperimentResult
-from ..core import GuaranteeSpec, HermesConfig
 from ..engine.sweep import SweepRunner
-from ..traffic import MicrobenchConfig, TimedFlowMod, generate_trace, seed_rules
-from .common import replay_trace
+from ..traffic import MicrobenchConfig, TimedFlowMod, generate_trace
+from .common import latency_stats, microbench_replay
 
 PAIRS: Tuple[Tuple[str, str], ...] = (
     ("cubic-spline", "slack"),
@@ -76,33 +75,22 @@ def run_pair(
     predictor: str, corrector: str, config: SensitivityConfig
 ) -> Tuple[float, float, float]:
     """(mean ms, p99 ms, violation %) for one predictor/corrector pair."""
-    hermes_config = HermesConfig(
-        guarantee=GuaranteeSpec.milliseconds(5),
-        predictor=predictor,
-        corrector=corrector,
-        slack=config.slack,
-        deadzone_margin=config.deadzone_margin,
-        admission_control=False,
-        lowest_priority_fastpath=False,
-    )
     trace_config = MicrobenchConfig(
         arrival_rate=config.base_rate,
         overlap_rate=config.overlap_rate,
         duration=config.duration,
     )
-    outcome = replay_trace(
-        ramping_trace(config),
-        "hermes",
+    outcome = microbench_replay(
         config.switch,
-        hermes_config=hermes_config,
-        prefill_rules=seed_rules(trace_config),
+        trace_config,
+        trace=ramping_trace(config),
+        predictor=predictor,
+        corrector=corrector,
+        slack=config.slack,
+        deadzone_margin=config.deadzone_margin,
+        lowest_priority_fastpath=False,
     )
-    latencies = np.asarray(outcome.response_times)
-    return (
-        float(latencies.mean() * 1e3),
-        float(np.percentile(latencies, 99) * 1e3),
-        outcome.installer.violation_percentage(),
-    )
+    return latency_stats(outcome)
 
 
 def run(

@@ -11,10 +11,10 @@ the sustained update rate by timing actual inserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..analysis import ExperimentResult
-from ..tcam import Action, InsertOrder, Rule, TcamTable, get_switch_model
+from ..tcam import Action, Rule, TcamTable, get_switch_model
 
 PAPER_ROWS: List[Tuple[str, int, float]] = [
     ("pica8-p3290", 50, 1266.0),
@@ -61,7 +61,7 @@ def measure_update_rate(switch: str, occupancy: int, probe_inserts: int) -> floa
         rule = Rule.from_prefix(
             f"192.168.{probe % 256}.0/24", 500, Action.output(2)
         )
-        result = table.insert(rule, order=InsertOrder.RANDOM)
+        result = table.insert(rule)
         total_latency += result.latency
         table.delete(rule.rule_id)
     return probe_inserts / total_latency if total_latency > 0 else float("inf")

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from ..tcam.rule import Rule
 from ..tcam.table import ControlActionResult, TableFullError, TcamError
-from ..tcam.timing import InsertOrder
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..tcam.table import TcamTable
@@ -68,7 +67,6 @@ class FaultyTable:
     def insert(
         self,
         rule: Rule,
-        order: InsertOrder = InsertOrder.RANDOM,
         planned: bool = False,
     ) -> ControlActionResult:
         """Insert through the fault model.
@@ -78,7 +76,7 @@ class FaultyTable:
         """
         if self._inner.is_full:
             # Let capacity errors surface exactly as the real table would.
-            return self._inner.insert(rule, order=order, planned=planned)
+            return self._inner.insert(rule, planned=planned)
         verdict = self._injector.write_verdict(
             now=self._clock(), table=self._inner.name, rule_id=rule.rule_id
         )
@@ -89,7 +87,7 @@ class FaultyTable:
             )
         if verdict == "silent":
             return ControlActionResult(latency=self._charge_only(), shifts=0)
-        return self._inner.insert(rule, order=order, planned=planned)
+        return self._inner.insert(rule, planned=planned)
 
     def modify(self, rule_id: int, action=None, match=None) -> ControlActionResult:
         """Modify through the fault model (same verdicts as insert)."""

@@ -103,7 +103,7 @@ class Simulation:
 
         Args:
             graph: topology with ``capacity`` on edges and ``kind`` on nodes.
-            flows: the workload, in any order.
+            flows: the workload, in any order; flow ids must be unique.
             installer_factory: per-switch TCAM-management scheme to test,
                 called as ``factory(switch_name, injector)`` with the run's
                 one fault injector.
@@ -111,7 +111,16 @@ class Simulation:
             clock: explicit kernel :class:`~repro.engine.clock.Clock` to
                 run on (share one to co-simulate with other components);
                 None creates a private timeline starting at zero.
+
+        Raises:
+            ValueError: when two flows share an id (say, two workloads
+                concatenated, each numbered from 1).
         """
+        seen = set()
+        for flow in flows:
+            if flow.flow_id in seen:
+                raise ValueError(f"duplicate flow id {flow.flow_id} in the workload")
+            seen.add(flow.flow_id)
         self.config = config if config is not None else SimulationConfig()
         self.graph = graph
         self.provider = PathProvider(graph, k_paths=self.config.k_paths)

@@ -15,7 +15,7 @@ from ..faults.injector import FaultInjector
 from ..faults.table import TcamWriteError
 from ..tcam.rule import Rule
 from ..tcam.table import TcamTable
-from ..tcam.timing import EmpiricalTimingModel, InsertOrder
+from ..tcam.timing import EmpiricalTimingModel
 from .messages import FlowMod, FlowModCommand, FlowModResult
 
 
@@ -114,7 +114,6 @@ class DirectInstaller(RuleInstaller):
         timing: EmpiricalTimingModel,
         capacity: Optional[int] = None,
         rng=None,
-        order: InsertOrder = InsertOrder.RANDOM,
         injector=None,
     ) -> None:
         """Create a monolithic installer.
@@ -123,7 +122,6 @@ class DirectInstaller(RuleInstaller):
             timing: the switch's TCAM timing model.
             capacity: flow-table size; defaults to the model's capacity.
             rng: optional generator enabling latency noise.
-            order: priority ordering assumed for latency scaling.
             injector: the run's :class:`~repro.faults.injector.FaultInjector`
                 (None: a null one).  Under TCAM write faults the table is
                 a :class:`~repro.faults.table.FaultyTable` and writes may
@@ -133,7 +131,6 @@ class DirectInstaller(RuleInstaller):
         self.table = self.injector.wrap_table(
             TcamTable(timing, capacity=capacity, name="monolithic", rng=rng)
         )
-        self.order = order
 
     def apply(self, flow_mod: FlowMod) -> FlowModResult:
         """Apply one FlowMod directly to the monolithic table.
@@ -144,7 +141,7 @@ class DirectInstaller(RuleInstaller):
         """
         if flow_mod.command is FlowModCommand.ADD:
             try:
-                result = self.table.insert(flow_mod.rule, order=self.order)
+                result = self.table.insert(flow_mod.rule)
             except TcamWriteError as error:
                 return FlowModResult(latency=error.latency)
             return FlowModResult(
@@ -159,7 +156,7 @@ class DirectInstaller(RuleInstaller):
         if flow_mod.changes_priority:
             replacement = flow_mod.replacement_for(self.table.get(flow_mod.rule_id))
             delete_latency = self.table.delete(flow_mod.rule_id).latency
-            insert_result = self.table.insert(replacement, order=self.order)
+            insert_result = self.table.insert(replacement)
             return FlowModResult(
                 latency=delete_latency + insert_result.latency,
                 installed_rule_ids=(replacement.rule_id,),

@@ -26,7 +26,7 @@ from .table import (
     TcamTable,
 )
 from .ternary import TernaryMatch
-from .timing import EmpiricalTimingModel, IdealTimingModel, InsertOrder
+from .timing import EmpiricalTimingModel, IdealTimingModel
 from .switch_models import (
     SWITCH_MODEL_NAMES,
     commodity_switch_models,
@@ -43,7 +43,6 @@ __all__ = [
     "ControlActionResult",
     "EmpiricalTimingModel",
     "IdealTimingModel",
-    "InsertOrder",
     "PlacementPlan",
     "PrefixRuleIndex",
     "PrefixTrie",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .rule import Action, Rule
 from .ternary import TernaryMatch
-from .timing import EmpiricalTimingModel, InsertOrder
+from .timing import EmpiricalTimingModel
 
 
 class TcamError(Exception):
@@ -179,7 +179,6 @@ class TcamTable:
     def insert(
         self,
         rule: Rule,
-        order: InsertOrder = InsertOrder.RANDOM,
         planned: bool = False,
     ) -> ControlActionResult:
         """Install a rule, charging the occupancy-dependent insertion cost.
@@ -189,7 +188,6 @@ class TcamTable:
 
         Args:
             rule: the rule to install.
-            order: priority ordering of the surrounding batch.
             planned: True for writes whose placement was pre-computed
                 offline (batch migration with TCAM update optimizers such
                 as RuleTris [62]): the write goes into a known free slot, so
@@ -214,7 +212,6 @@ class TcamTable:
         latency = self.timing.insertion_latency(
             effective_occupancy,
             shifts=None if planned else shifts,
-            order=order,
             rng=self.rng,
         )
         self._entries.insert(position, rule)

@@ -6,38 +6,23 @@ measurements (Kuźniar et al. [42], He et al. [38], Lazaris et al. [43]):
 * insertion latency grows with flow-table occupancy (Table 1 of the paper);
 * inserts carrying priorities (i.e. requiring entry shifting) are about 5x
   slower than priority-free appends;
-* inserting in descending priority order is up to 10x slower than ascending;
 * deletions are fast and priority-independent;
 * modifications are ~constant unless they change the priority.
 
 :class:`EmpiricalTimingModel` encodes exactly this: a piecewise-linear
-interpolation of published (occupancy -> latency) points, multiplicative
-priority/order penalties, and seeded lognormal noise for run-to-run variation.
+interpolation of published (occupancy -> latency) points, a multiplicative
+priority penalty, and seeded lognormal noise for run-to-run variation.
 The *worst-case* latency at a given occupancy is deterministic and is what
 Hermes's shadow sizing (Fig 14) is computed from.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-
-class InsertOrder(enum.Enum):
-    """The priority ordering of an insertion batch, which scales latency.
-
-    Measurements show ascending-priority insertion can be ~10x faster than
-    descending.  We treat the empirical occupancy curve as the random-order
-    baseline and scale around it.
-    """
-
-    ASCENDING = 0.5
-    RANDOM = 1.0
-    DESCENDING = 5.0
 
 
 @dataclass
@@ -110,7 +95,6 @@ class EmpiricalTimingModel:
         occupancy: int,
         *,
         shifts: Optional[int] = None,
-        order: InsertOrder = InsertOrder.RANDOM,
         rng: Optional[np.random.Generator] = None,
     ) -> float:
         """Sample the latency (seconds) of one insertion.
@@ -120,7 +104,6 @@ class EmpiricalTimingModel:
             shifts: how many resident entries the insert displaces; ``0``
                 means an append (no shifting), which is ~priority_penalty
                 times cheaper.  ``None`` assumes worst-position insertion.
-            order: the priority ordering of the surrounding batch.
             rng: optional generator for multiplicative lognormal noise; when
                 omitted the deterministic mean latency is returned.
         """
@@ -133,7 +116,6 @@ class EmpiricalTimingModel:
             fraction = min(1.0, shifts / occupancy)
             floor = latency / self.priority_penalty
             latency = floor + (latency - floor) * fraction
-        latency *= order.value
         if rng is not None and self.noise_sigma > 0:
             latency *= float(rng.lognormal(mean=0.0, sigma=self.noise_sigma))
         return latency

@@ -19,7 +19,6 @@ The paper splits jobs at 1 GB into "short" and "long" for Figure 1; the
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -27,8 +26,6 @@ import numpy as np
 from .flows import FlowSpec, JobSpec
 
 SHORT_JOB_BYTES = 1e9  # the paper's short/long cut: 1 GB
-
-_job_counter = itertools.count(1)
 
 
 def sample_job_size(rng: np.random.Generator) -> float:
@@ -71,7 +68,9 @@ def generate_jobs(
         rng: generator; a fixed default seed keeps runs reproducible.
 
     Returns:
-        Jobs sorted by start time, each holding its shuffle flows.
+        Jobs sorted by start time, each holding its shuffle flows.  Jobs
+        are numbered 1..J and flows 1..N in creation order, so every call
+        numbers its workload the same way.
     """
     if job_count < 1:
         raise ValueError(f"job_count must be >= 1, got {job_count}")
@@ -81,6 +80,7 @@ def generate_jobs(
         raise ValueError("need at least two hosts")
     generator = rng if rng is not None else np.random.default_rng(42)
     jobs: List[JobSpec] = []
+    flow_count = 0
     time = 0.0
     for _ in range(job_count):
         time += float(generator.exponential(1.0 / arrival_rate))
@@ -96,13 +96,14 @@ def generate_jobs(
         )
         mappers = [hosts[i] for i in participants[:mappers_count]]
         reducers = [hosts[i] for i in participants[mappers_count:]]
-        job_id = next(_job_counter)
+        job_id = len(jobs) + 1
         per_flow = size / (mappers_count * reducers_count)
         flows = []
         for mapper in mappers:
             for reducer in reducers:
                 if mapper == reducer:
                     continue
+                flow_count += 1
                 flows.append(
                     FlowSpec(
                         source=mapper,
@@ -110,6 +111,7 @@ def generate_jobs(
                         size=max(1500.0, per_flow),
                         start_time=time,
                         job_id=job_id,
+                        flow_id=flow_count,
                     )
                 )
         jobs.append(JobSpec(job_id=job_id, flows=tuple(flows)))

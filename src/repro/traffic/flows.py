@@ -8,7 +8,6 @@ matrices" (Section 8.1.3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -16,15 +15,16 @@ import numpy as np
 
 from .matrices import TrafficMatrix
 
-_flow_counter = itertools.count(1)
-
 
 @dataclass
 class FlowSpec:
     """One flow to simulate.
 
     Attributes:
-        flow_id: unique id.
+        flow_id: the flow's id, unique within its workload and given by
+            whoever builds the workload (keyword-only, required).  It sets
+            the flow's rule priority, TCAM match and ECMP choice, so it
+            must not come from state that outlives the workload.
         source / destination: endpoint node names.
         size: bytes to transfer.
         start_time: arrival time in seconds.
@@ -36,7 +36,7 @@ class FlowSpec:
     size: float
     start_time: float
     job_id: Optional[int] = None
-    flow_id: int = field(default_factory=lambda: next(_flow_counter))
+    flow_id: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -79,7 +79,9 @@ def flows_from_matrix(
     per-flow sizes drawn exponentially around the mean (sizes are
     "partitioned evenly" in expectation).
 
-    Returns flows sorted by start time.
+    Flows are numbered 1..N in creation order (OD pairs in sorted order,
+    arrivals in time order within a pair), so every call numbers its
+    workload the same way.  Returns flows sorted by start time.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -102,6 +104,7 @@ def flows_from_matrix(
                     destination=destination,
                     size=max(1500.0, size),  # at least one MTU
                     start_time=time,
+                    flow_id=len(flows) + 1,
                 )
             )
             time += float(generator.exponential(1.0 / rate))

@@ -1,6 +1,5 @@
 """Tests for CDF/percentile helpers and result rendering."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -13,7 +13,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from repro.analysis.races import (
     SCHEDULE_ORDER_RACE,

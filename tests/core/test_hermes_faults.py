@@ -30,7 +30,7 @@ def invariant_violations(hermes):
 
 class TestDegradedMode:
     def test_window_lifecycle(self):
-        hermes = make_hermes(degraded_window=1.0)
+        hermes = make_hermes()
         assert not hermes.is_degraded(0.0)
         hermes.enter_degraded(2.0)
         assert hermes.is_degraded(2.5)
@@ -38,10 +38,12 @@ class TestDegradedMode:
         assert not hermes.is_degraded(2.5)  # and stays cleared
 
     def test_repeated_entries_extend_not_shrink(self):
-        hermes = make_hermes(degraded_window=1.0)
-        hermes.enter_degraded(2.0, duration=5.0)
-        hermes.enter_degraded(2.5)  # shorter window must not shrink the first
-        assert hermes.is_degraded(6.0)
+        hermes = make_hermes()
+        hermes.enter_degraded(2.0)  # degraded until 3.0
+        hermes.enter_degraded(1.5)  # an earlier window must not shrink it
+        assert hermes.is_degraded(2.9)
+        hermes.enter_degraded(2.5)  # a later one extends it to 3.5
+        assert hermes.is_degraded(3.4)
 
     def test_degraded_inserts_bypass_shadow(self):
         hermes = make_hermes()
@@ -55,7 +57,7 @@ class TestDegradedMode:
         assert hermes.gate_keeper.reason_counts.get("degraded", 0) == 1
 
     def test_guarantee_returns_after_window(self):
-        hermes = make_hermes(degraded_window=1.0)
+        hermes = make_hermes()
         hermes.advance_time(1.0)
         hermes.enter_degraded(1.0)
         hermes.apply(FlowMod.add(rule("10.0.0.0/8", 50)))

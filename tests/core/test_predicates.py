@@ -12,7 +12,7 @@ from repro.core.predicates import (
     priority_band,
     within_prefix,
 )
-from repro.tcam import Action, Rule, TernaryMatch
+from repro.tcam import Action, Rule
 
 
 def rule(prefix, priority, action=None):

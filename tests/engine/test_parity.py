@@ -169,8 +169,23 @@ def delivery(scheme, channel):
     return hashlib.sha256(payload).hexdigest(), summary
 
 
+def canned(name, order):
+    from repro.experiments.common import canned_scenario, isp_workload
+
+    if order == "after-another":
+        isp_workload("geant")
+    simulation, _meta = canned_scenario(name)
+    return _digest(simulation.run()), None
+
+
 name = sys.argv[1]
-scenarios = {"fig01": fig01, "fig08": fig08, "chaos": chaos, "delivery": delivery}
+scenarios = {
+    "fig01": fig01,
+    "fig08": fig08,
+    "chaos": chaos,
+    "delivery": delivery,
+    "canned": canned,
+}
 result, trace = scenarios[name](*sys.argv[2:])
 print(json.dumps({"result": result, "trace": trace}))
 """
@@ -270,6 +285,15 @@ class TestFaultedDeliveryPin:
         assert digests["trace"]["rits"] == 28
         assert digests["trace"]["undelivered"] == 2
         assert digests["result"] == DELIVERY_DIGESTS[("naive", "naive")]
+
+
+class TestWorkloadLocalIds:
+    """A run does not depend on what the process generated before it."""
+
+    def test_canned_fig01_same_after_another_workload(self):
+        fresh = _scenario_digests("canned", "fig01", "fresh")
+        after = _scenario_digests("canned", "fig01", "after-another")
+        assert after == fresh
 
 
 class TestGoldenEventOrder:

@@ -12,6 +12,7 @@ from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments import (
     ablation,
     bgp_section,
+    failover,
     fig11_timeseries,
     fig12_simple,
     fig13_slack,
@@ -26,6 +27,8 @@ from repro.experiments.common import (
     installer_factory,
     isp_workload,
     replay_trace,
+    run_te_cell,
+    te_workload,
 )
 from repro.faults import FaultInjector
 from repro.traffic import MicrobenchConfig, generate_trace, seed_rules
@@ -111,6 +114,17 @@ class TestFastExperiments:
         assert times == sorted(times)
 
 
+class TestOrderIndependence:
+    def test_failover_rows_repeat_in_one_process(self):
+        # The schemes reroute the same flows: each run numbers its own
+        # workload, so neither the scheme order nor an earlier run can
+        # shift flow ids (and with them rule priorities and ECMP paths).
+        first = failover.run()
+        second = failover.run()
+        assert second.rows == first.rows
+        assert len({row[-1] for row in first.rows}) == 1
+
+
 class TestCommonHelpers:
     def test_facebook_workload_shapes(self):
         scale = WorkloadScale(job_count=5)
@@ -124,6 +138,24 @@ class TestCommonHelpers:
         graph, flows = isp_workload("abilene", scale)
         assert graph.number_of_nodes() == 11
         assert flows
+
+    def test_te_workload_by_name(self):
+        scale = WorkloadScale(job_count=5, isp_flow_duration=1.0)
+        graph, flows, config, short_ids = te_workload("facebook", scale)
+        assert [flow.flow_id for flow in flows] == [
+            flow.flow_id for flow in facebook_workload(scale)[1]
+        ]
+        assert short_ids == facebook_workload(scale)[2]
+        _, isp_flows, wan, isp_short = te_workload("abilene", scale)
+        assert isp_flows and not isp_short
+        assert wan.control_rtt == 10e-3 > config.control_rtt
+
+    def test_te_cell_repeats_in_one_process(self):
+        scale = WorkloadScale(job_count=4)
+        first = run_te_cell("facebook", "hermes", "pica8-p3290", scale)
+        second = run_te_cell("facebook", "hermes", "pica8-p3290", scale)
+        assert second.rits() == first.rits()
+        assert second.fcts() == first.fcts()
 
     def test_isp_workload_tomogravity_path(self):
         scale = WorkloadScale(isp_flow_duration=0.5)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import make_installer
 from repro.simulator import SdnController
-from repro.tcam import pica8_p3290, get_switch_model
+from repro.tcam import pica8_p3290
 from repro.topology import FatTreeSpec, PathProvider, build_fat_tree
 from repro.traffic import FlowSpec
 
@@ -30,6 +30,7 @@ def assignments_for(tree, count):
             destination=f"host-{1 + index % 3}-1-0",
             size=1e6,
             start_time=0.0,
+            flow_id=index + 1,
         )
         for index in range(count)
     ]

@@ -1,6 +1,5 @@
 """Tests for link-failure injection and blackhole accounting."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import make_installer
@@ -18,7 +17,8 @@ def tree():
 def long_flow(graph, size=1e9):
     names = hosts(graph)
     return FlowSpec(
-        source=names[0], destination=names[-1], size=size, start_time=0.0
+        source=names[0], destination=names[-1], size=size, start_time=0.0,
+        flow_id=1,
     )
 
 
@@ -93,6 +93,7 @@ class TestFailureInjection:
             destination=flow.destination,
             size=1e6,
             start_time=1.0,  # after the failure
+            flow_id=2,
         )
         factory = lambda name, injector: make_installer(
             "naive", ideal_switch(), injector=injector
@@ -108,6 +109,7 @@ class TestFailureInjection:
             destination=hosts(tree)[-1],
             size=1e6,
             start_time=1.0,
+            flow_id=1,
         )
         link = first_path_core_link(tree, flow)
         factory = lambda name, injector: make_installer(

@@ -23,6 +23,7 @@ def small_flows(graph, count=10):
             destination=names[(index + 7) % len(names)],
             size=1e6,
             start_time=0.01 * index,
+            flow_id=index + 1,
         )
         for index in range(count)
     ]

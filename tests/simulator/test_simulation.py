@@ -1,7 +1,5 @@
 """Tests for the Varys simulator: controller, TE app, end-to-end runs."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -37,14 +35,14 @@ def ideal_factory(switch_name, injector):
 class TestMetricsCollector:
     def test_fct_accounting(self):
         metrics = MetricsCollector()
-        spec = FlowSpec(source="a", destination="b", size=100.0, start_time=1.0)
+        spec = FlowSpec(source="a", destination="b", size=100.0, start_time=1.0, flow_id=1)
         metrics.flow_started(spec, 1.0)
         metrics.flow_finished(spec.flow_id, 3.5)
         assert metrics.fcts() == [pytest.approx(2.5)]
 
     def test_incomplete_flow_has_no_fct(self):
         metrics = MetricsCollector()
-        spec = FlowSpec(source="a", destination="b", size=100.0, start_time=0.0)
+        spec = FlowSpec(source="a", destination="b", size=100.0, start_time=0.0, flow_id=1)
         metrics.flow_started(spec, 0.0)
         assert metrics.fcts() == []
         with pytest.raises(ValueError):
@@ -53,8 +51,14 @@ class TestMetricsCollector:
     def test_jct_spans_job_flows(self):
         metrics = MetricsCollector()
         flows = [
-            FlowSpec(source="a", destination="b", size=1.0, start_time=0.0, job_id=9),
-            FlowSpec(source="c", destination="d", size=1.0, start_time=1.0, job_id=9),
+            FlowSpec(
+                source="a", destination="b", size=1.0, start_time=0.0, job_id=9,
+                flow_id=1,
+            ),
+            FlowSpec(
+                source="c", destination="d", size=1.0, start_time=1.0, job_id=9,
+                flow_id=2,
+            ),
         ]
         for flow in flows:
             metrics.flow_started(flow, flow.start_time)
@@ -65,8 +69,14 @@ class TestMetricsCollector:
     def test_jobs_with_incomplete_flows_excluded(self):
         metrics = MetricsCollector()
         flows = [
-            FlowSpec(source="a", destination="b", size=1.0, start_time=0.0, job_id=9),
-            FlowSpec(source="c", destination="d", size=1.0, start_time=0.0, job_id=9),
+            FlowSpec(
+                source="a", destination="b", size=1.0, start_time=0.0, job_id=9,
+                flow_id=1,
+            ),
+            FlowSpec(
+                source="c", destination="d", size=1.0, start_time=0.0, job_id=9,
+                flow_id=2,
+            ),
         ]
         for flow in flows:
             metrics.flow_started(flow, 0.0)
@@ -79,7 +89,8 @@ class TestController:
         controller = SdnController(small_tree, naive_factory, control_rtt=1e-3)
         provider = PathProvider(small_tree)
         flow = FlowSpec(
-            source="host-0-0-0", destination="host-1-0-0", size=1e6, start_time=0.0
+            source="host-0-0-0", destination="host-1-0-0", size=1e6, start_time=0.0,
+            flow_id=1,
         )
         path = provider.shortest_path(flow.source, flow.destination)
         outcome = controller.install_paths([(flow, path)], now=0.0)[0]
@@ -90,7 +101,8 @@ class TestController:
         controller = SdnController(small_tree, naive_factory)
         provider = PathProvider(small_tree)
         flow = FlowSpec(
-            source="host-0-0-0", destination="host-1-0-0", size=1e6, start_time=0.0
+            source="host-0-0-0", destination="host-1-0-0", size=1e6, start_time=0.0,
+            flow_id=1,
         )
         path = provider.shortest_path(flow.source, flow.destination)
         controller.install_paths([(flow, path)], now=0.0)
@@ -106,14 +118,14 @@ class TestController:
         assert agent.stats.actions == 0  # warm-up is not measured
 
     def test_flow_match_unique_and_exact(self):
-        a = FlowSpec(source="a", destination="b", size=1.0, start_time=0.0)
-        b = FlowSpec(source="a", destination="b", size=1.0, start_time=0.0)
+        a = FlowSpec(source="a", destination="b", size=1.0, start_time=0.0, flow_id=1)
+        b = FlowSpec(source="a", destination="b", size=1.0, start_time=0.0, flow_id=2)
         assert flow_match(a) != flow_match(b)
         assert flow_match(a).matches(a.flow_id)
         assert not flow_match(a).matches(b.flow_id)
 
     def test_te_priority_above_background_band(self):
-        flow = FlowSpec(source="a", destination="b", size=1.0, start_time=0.0)
+        flow = FlowSpec(source="a", destination="b", size=1.0, start_time=0.0, flow_id=1)
         assert flow_rule_priority(flow) >= 100
 
 
@@ -122,7 +134,8 @@ class TestTeApp:
         provider = PathProvider(small_tree)
         app = ProactiveTeApp(provider, TeAppConfig(utilization_threshold=0.9))
         flow = FlowSpec(
-            source="host-0-0-0", destination="host-1-0-0", size=1e9, start_time=0.0
+            source="host-0-0-0", destination="host-1-0-0", size=1e9, start_time=0.0,
+            flow_id=1,
         )
         path = provider.shortest_path(flow.source, flow.destination)
         from repro.topology import path_links
@@ -141,7 +154,8 @@ class TestTeApp:
         provider = PathProvider(small_tree)
         app = ProactiveTeApp(provider, TeAppConfig(utilization_threshold=0.7))
         flow = FlowSpec(
-            source="host-0-0-0", destination="host-3-0-0", size=1e9, start_time=0.0
+            source="host-0-0-0", destination="host-3-0-0", size=1e9, start_time=0.0,
+            flow_id=1,
         )
         path = provider.paths(flow.source, flow.destination)[0]
         from repro.topology import path_links
@@ -278,3 +292,10 @@ class TestEndToEnd:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(initial_path_policy="random")
+
+    def test_duplicate_flow_ids_rejected(self, small_tree):
+        # Two workloads, each numbered from 1, cannot share one run: the
+        # id sets a flow's rule priority, match and ECMP choice.
+        flows = self.make_flows(small_tree, job_count=3)
+        with pytest.raises(ValueError, match="duplicate flow id 1"):
+            Simulation(small_tree, flows + flows, ideal_factory)

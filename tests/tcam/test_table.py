@@ -5,7 +5,6 @@ import pytest
 
 from repro.tcam import (
     Action,
-    InsertOrder,
     Rule,
     RuleNotFoundError,
     TableFullError,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.tcam import (
     EmpiricalTimingModel,
-    InsertOrder,
     commodity_switch_models,
     dell_8132f,
     get_switch_model,
@@ -94,12 +93,6 @@ class TestPenalties:
         half = model.insertion_latency(500, shifts=250)
         none = model.insertion_latency(500, shifts=0)
         assert none < half < full
-
-    def test_descending_order_penalty(self):
-        model = pica8_p3290()
-        ascending = model.insertion_latency(500, order=InsertOrder.ASCENDING)
-        descending = model.insertion_latency(500, order=InsertOrder.DESCENDING)
-        assert descending / ascending == pytest.approx(10.0)
 
     def test_noise_is_reproducible_with_seed(self):
         model = pica8_p3290()

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.switchsim import FlowModCommand
@@ -118,6 +117,14 @@ class TestFlowSynthesis:
         with pytest.raises(ValueError):
             flows_from_matrix({}, duration=0.0)
 
+    def test_ids_number_from_one_on_every_call(self):
+        tm = gravity_matrix(pops(abilene()), 1e9)
+        first = flows_from_matrix(tm, duration=1.0, rng=np.random.default_rng(0))
+        second = flows_from_matrix(tm, duration=1.0, rng=np.random.default_rng(0))
+        ids = sorted(flow.flow_id for flow in first)
+        assert ids == list(range(1, len(first) + 1))
+        assert [flow.flow_id for flow in second] == [flow.flow_id for flow in first]
+
 
 class TestFacebookJobs:
     def test_job_count_and_ordering(self):
@@ -163,6 +170,14 @@ class TestFacebookJobs:
             destinations = {flow.destination for flow in job.flows}
             assert not sources & destinations
             assert len(sources | destinations) == len(hosts)
+
+    def test_ids_number_from_one_on_every_call(self):
+        hosts = [f"h{i}" for i in range(16)]
+        for _ in range(2):
+            jobs = generate_jobs(hosts, job_count=8, rng=np.random.default_rng(0))
+            assert [job.job_id for job in jobs] == list(range(1, 9))
+            flow_ids = [flow.flow_id for job in jobs for flow in job.flows]
+            assert flow_ids == list(range(1, len(flow_ids) + 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
